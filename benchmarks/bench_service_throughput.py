@@ -1,4 +1,4 @@
-"""Service daemon throughput — cold vs. resident, threaded vs. asyncio.
+"""Service daemon throughput — cold vs. resident, plus a 1k-client load.
 
 Benchmarks the analysis service (``repro.service``) end to end over real
 HTTP on a loopback port, comparing the serving regimes the daemon
@@ -10,12 +10,10 @@ exists to separate:
 * **resident** — one long-lived daemon with the corpus ingested once;
   jobs hit the warm parse-once store and the already-loaded index.
 * **frontend load** — ``BENCH_SERVICE_CLIENTS`` concurrent clients
-  (default 1000) hammer ``POST /v1/jobs`` against the threaded and the
-  asyncio front ends through ``tools/loadgen.py``.  The threaded stack
-  soaks everything into its unbounded queue; the asyncio gateway sheds
-  past ``max_pending_jobs`` with 503 + Retry-After.  The asserted
-  invariant is *no hangs*: under overload the asyncio front end answers
-  every request (accept or shed), never stalls one.
+  (default 1000) hammer ``POST /v1/jobs`` through ``tools/loadgen.py``.
+  The asyncio transport sheds past ``max_pending_jobs`` with 503 +
+  Retry-After.  The asserted invariant is *no hangs*: under overload the
+  daemon answers every request (accept or shed), never stalls one.
 
 The terminal summary reports jobs/sec and client-observed p50/p95/p99
 latency for every mode, plus the resident speedup.  The assertion is
@@ -148,20 +146,18 @@ def test_service_resident_serving(benchmark, service_corpora, tmp_path_factory,
         assert _MODE_RESULTS["cold"] == results
 
 
-@pytest.mark.parametrize("frontend", ["threaded", "asyncio"])
-def test_service_frontend_load(benchmark, frontend, tmp_path_factory,
+def test_service_frontend_load(benchmark, tmp_path_factory,
                                service_latency_registry):
     """Submission throughput at FRONTEND_CLIENTS concurrent clients.
 
-    Both front ends face the same closed-loop burst.  The threaded stack
-    accepts everything into its unbounded queue; the asyncio gateway
-    bounds the queue and sheds the excess with 503 + Retry-After.  The
-    hard requirement under overload is *answer, never hang*.
+    A closed-loop burst against a bounded pending-job queue: the excess
+    is shed with 503 + Retry-After.  The hard requirement under overload
+    is *answer, never hang*.
     """
-    tmp_path = tmp_path_factory.mktemp(f"svc-{frontend}")
+    tmp_path = tmp_path_factory.mktemp("svc-load")
     config = ServiceConfig(
         data_dir=str(tmp_path / "daemon"), port=0, backend="serial",
-        frontend=frontend, max_connections=FRONTEND_CLIENTS + 64)
+        max_connections=FRONTEND_CLIENTS + 64)
     with AnalysisService(config) as service:
 
         def load_run():
@@ -172,16 +168,15 @@ def test_service_frontend_load(benchmark, frontend, tmp_path_factory,
                 interactive_fraction=0.25, timeout=60.0)
 
         result = benchmark.pedantic(load_run, rounds=1, iterations=1)
-    mode = f"{frontend}@{FRONTEND_CLIENTS}c"
+    mode = f"asyncio@{FRONTEND_CLIENTS}c"
     _register(service_latency_registry, mode, result.wall,
               result.latencies or [0.0], result.accepted,
               requests=result.requests, shed=result.shed,
               errors=result.errors, hung=result.hung,
               clients=FRONTEND_CLIENTS)
-    # overload must degrade by shedding (or slowing), never by hanging
+    # overload must degrade by shedding, never by hanging: every request
+    # got an HTTP answer, 202 accepted or 429/503 shed
     assert result.hung == 0
-    if frontend == "asyncio":
-        # every request got an HTTP answer: 202 accepted or 429/503 shed
-        assert result.errors == 0
-        assert result.requests == FRONTEND_CLIENTS * FRONTEND_REQUESTS
-        assert result.accepted + result.shed == result.requests
+    assert result.errors == 0
+    assert result.requests == FRONTEND_CLIENTS * FRONTEND_REQUESTS
+    assert result.accepted + result.shed == result.requests

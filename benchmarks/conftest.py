@@ -49,7 +49,7 @@ _MATCHER_BACKENDS: dict[str, dict] = {}
 
 #: mode -> {"jobs_per_sec", "p50", "p95", "p99", "jobs", ...} rows of the
 #: service daemon benchmark (bench_service_throughput): cold vs resident
-#: index serving, plus the threaded-vs-asyncio frontend load comparison
+#: index serving, plus the 1k-client load run against the asyncio transport
 _SERVICE_LATENCIES: dict[str, dict] = {}
 
 #: mode -> {"wall": s, ...} rows of the incremental re-analysis benchmark

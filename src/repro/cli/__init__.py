@@ -543,7 +543,6 @@ def _build_daemon(args: argparse.Namespace):
             shard_timeout=args.shard_timeout,
             connect_timeout=args.connect_timeout,
             log_requests=args.verbose,
-            frontend=args.frontend,
             max_pending_jobs=args.max_pending_jobs,
             max_connections=args.max_connections,
             tenant_quotas=tenant_quotas,
@@ -570,7 +569,6 @@ def _build_daemon(args: argparse.Namespace):
         similarity_backend=args.similarity_backend,
         index_shards=args.index_shards,
         log_requests=args.verbose,
-        frontend=args.frontend,
         max_pending_jobs=args.max_pending_jobs,
         max_connections=args.max_connections,
         tenant_quotas=tenant_quotas,
@@ -604,13 +602,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         service.stop()
         return 1
     if args.role == "coordinator":
-        print(f"serving on {service.url} (role: coordinator, frontend: "
-              f"{args.frontend}, data dir: {args.data_dir}, "
+        print(f"serving on {service.url} (role: coordinator, "
+              f"data dir: {args.data_dir}, "
               f"shards: {len(service.shards)}, "
               f"recovered jobs: {service.recovered_jobs})", flush=True)
     else:
-        print(f"serving on {service.url} (frontend: {args.frontend}, "
-              f"data dir: {args.data_dir}, "
+        print(f"serving on {service.url} (data dir: {args.data_dir}, "
               f"index: {len(service.detector)} documents, "
               f"recovered jobs: {service.recovered_jobs})", flush=True)
     # a machine-readable line so scripts (and the cluster test harness)
@@ -1261,27 +1258,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="coordinator role: seconds a refused worker "
                             "connection is retried with backoff before the "
                             "shard counts as unreachable (default: 10)")
-    serve.add_argument("--frontend", choices=("threaded", "asyncio"),
-                       default="threaded",
-                       help="HTTP front end: threaded (default) uses the "
-                            "blocking http.server stack; asyncio serves the "
-                            "same /v1/* API from an event loop with "
-                            "admission control (bounded queues, tenant "
-                            "quotas, priority lanes, request coalescing)")
     serve.add_argument("--tenant-quotas", default=None, metavar="PATH",
-                       help="asyncio front end: TOML/JSON file of per-tenant "
+                       help="TOML/JSON file of per-tenant "
                             "rate/burst/max_inflight admission quotas keyed "
                             "by X-Repro-Tenant header")
     serve.add_argument("--max-pending-jobs", type=int, default=256,
-                       help="asyncio front end: queued-job bound beyond "
+                       help="queued-job bound beyond "
                             "which submissions are shed with 503 "
                             "(default: 256)")
     serve.add_argument("--max-connections", type=int, default=1024,
-                       help="asyncio front end: open-connection bound beyond "
+                       help="open-connection bound beyond "
                             "which new connections are shed with 503 "
                             "(default: 1024)")
     serve.add_argument("--no-coalesce", action="store_true",
-                       help="asyncio front end: disable content-hash "
+                       help="disable content-hash "
                             "coalescing of concurrent identical submissions")
     serve.add_argument("--batch-aging", type=int, default=4,
                        help="serve at most this many consecutive interactive "

@@ -13,13 +13,14 @@ index, fed by a persistent job queue, fronted by a stdlib HTTP API.
 * :mod:`repro.service.scheduler` — the worker pool draining the queue
   FIFO through the resident session, streaming envelopes into the store
   as they complete,
-* :mod:`repro.service.server` — :class:`AnalysisService` and the HTTP
-  endpoints (``POST /v1/jobs``, ``GET /v1/jobs/{id}[/stream]``,
-  ``POST /v1/corpus``, ``GET /v1/healthz``, ``GET /v1/stats``),
+* :mod:`repro.service.server` — :class:`AnalysisService`, the worker
+  daemon,
+* :mod:`repro.service.routes` — the ``/v1/*`` protocol as one route
+  table per role (``POST /v1/jobs``, ``GET /v1/jobs/{id}[/stream]``,
+  ``POST /v1/corpus``, ``GET /v1/healthz``, ``GET /v1/stats``, ...),
 * :mod:`repro.service.gateway` — :class:`AsyncGateway`, the asyncio
-  HTTP front end (``repro serve --frontend asyncio``) adding admission
-  control: bounded queues, per-tenant quotas, priority lanes, and
-  content-hash request coalescing,
+  HTTP transport serving either table, with admission control: bounded
+  queues, per-tenant quotas, and content-hash request coalescing,
 * :mod:`repro.service.client` — the small stdlib client (pooled
   keep-alive connections) used by ``repro submit`` / ``repro jobs``
   and the tests,
@@ -45,7 +46,6 @@ A cluster is the same daemons plus a coordinator::
 from repro.service.client import JobFailedError, ServiceClient, ServiceError
 from repro.service.coordinator import ROUTES as COORDINATOR_ROUTES
 from repro.service.coordinator import ClusterCoordinator, CoordinatorConfig
-from repro.service.gateway import ROUTES as GATEWAY_ROUTES
 from repro.service.gateway import (
     AsyncGateway,
     GatewayConfig,
@@ -68,7 +68,6 @@ __all__ = [
     "COORDINATOR_ROUTES",
     "ClusterCoordinator",
     "CoordinatorConfig",
-    "GATEWAY_ROUTES",
     "GatewayConfig",
     "HashRing",
     "JOB_STATES",

@@ -27,6 +27,12 @@ multi-shard deployment *byte-for-byte testable* against a single node:
   whose fixed-point property (``canonical_json(json.loads(line)) ==
   line``) guarantees the merged bytes match a single-node daemon's.
 
+The coordinator speaks the same ``/v1/*`` protocol as a worker, minus
+result streaming and plus ``GET /v1/cluster`` and ``POST
+/v1/cluster/rebalance``: its route table is
+:data:`repro.service.routes.COORDINATOR_ROUTES`, served by the same
+asyncio transport (:class:`~repro.service.gateway.AsyncGateway`).
+
 Durability mirrors the single-node daemon: jobs live in the same
 :class:`~repro.service.jobstore.JobStore` (rows gain fan-out
 bookkeeping), so a coordinator killed mid-fan-out requeues the job on
@@ -45,15 +51,14 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass
-from http.server import ThreadingHTTPServer
 from pathlib import Path
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
-from urllib.parse import parse_qs, urlparse
 
 from repro.api.envelope import canonical_json
 from repro.api.registry import REGISTRY
 from repro.core.persistence import DEFAULT_BUSY_TIMEOUT_SECONDS, retry_on_busy
 from repro.service.client import ServiceClient, ServiceError
+from repro.service.gateway import AsyncGateway, GatewayConfig
 from repro.service.hashring import DEFAULT_RING_REPLICAS, HashRing, partition
 from repro.service.jobstore import (
     DEFAULT_BATCH_AGING,
@@ -62,12 +67,11 @@ from repro.service.jobstore import (
     JobStore,
 )
 from repro.service.delta import DeltaError, resolve_ingest_documents
+from repro.service.routes import COORDINATOR_ROUTES
 from repro.service.scheduler import ReadWriteLock
 from repro.service.server import (
     QUERIES_FILE_NAME,
     ServiceValidationError,
-    _handler_class,
-    _JsonRequestHandler,
     custom_queries_payload,
     load_custom_queries,
     register_custom_query,
@@ -77,26 +81,14 @@ from repro.service.server import (
     validate_sources,
 )
 from repro.service.workloads import (
-    ROUTES as WORKLOAD_ROUTES,
     WORKLOADS,
     WorkloadError,
     validate_workload_request,
 )
 
-#: every HTTP route the coordinator serves — kept in lockstep with
-#: ``docs/service.md`` by ``tools/check_api.py``; the workload-engine
-#: routes ride along from ``workloads.py`` exactly like the single node
-ROUTES = tuple(sorted((
-    ("GET", "/v1/cluster"),
-    ("GET", "/v1/corpus"),
-    ("GET", "/v1/healthz"),
-    ("GET", "/v1/jobs"),
-    ("GET", "/v1/jobs/{id}"),
-    ("GET", "/v1/stats"),
-    ("POST", "/v1/cluster/rebalance"),
-    ("POST", "/v1/corpus"),
-    ("POST", "/v1/jobs"),
-) + WORKLOAD_ROUTES))
+#: every HTTP route the coordinator serves, read off its route table —
+#: kept in lockstep with ``docs/service.md`` by ``tools/check_api.py``
+ROUTES = COORDINATOR_ROUTES.endpoints
 
 #: file name of the coordinator's routing journal inside its data dir
 CORPUS_DATABASE_NAME = "corpus.sqlite"
@@ -295,15 +287,13 @@ class CoordinatorConfig:
     fanout_workers: int = 1
     #: emit one access-log line per request to stderr
     log_requests: bool = False
-    #: HTTP front end: ``threaded`` or ``asyncio`` (gateway + admission)
-    frontend: str = "threaded"
-    #: asyncio gateway: queued+running jobs beyond this are shed with 503
+    #: queued+running jobs beyond this are shed with 503
     max_pending_jobs: int = 256
-    #: asyncio gateway: open connections beyond this are shed with 503
+    #: open connections beyond this are shed with 503
     max_connections: int = 1024
-    #: asyncio gateway: path of a TOML/JSON per-tenant quota file
+    #: path of a TOML/JSON per-tenant quota file
     tenant_quotas: Optional[str] = None
-    #: asyncio gateway: coalesce concurrent identical job submissions
+    #: coalesce concurrent identical job submissions
     coalesce: bool = True
     #: interactive claims a waiting batch job tolerates before it is served
     batch_aging: int = DEFAULT_BATCH_AGING
@@ -331,10 +321,6 @@ class ClusterCoordinator:
     def __init__(self, config: CoordinatorConfig):
         if not config.workers:
             raise ValueError("a coordinator needs at least one worker URL")
-        if config.frontend not in ("threaded", "asyncio"):
-            raise ValueError(
-                f"frontend must be 'threaded' or 'asyncio', "
-                f"not {config.frontend!r}")
         self.config = config
         names = config.resolved_names()
         #: shard name -> worker base URL, in configuration order
@@ -365,9 +351,7 @@ class ClusterCoordinator:
         self._wakeup = threading.Condition()
         self._idle = threading.Condition()
         self._running_jobs = 0
-        self._httpd: Optional[ThreadingHTTPServer] = None
-        self._http_thread: Optional[threading.Thread] = None
-        self._gateway = None  # AsyncGateway when frontend == "asyncio"
+        self._gateway: Optional[AsyncGateway] = None
         self._stop_requested = threading.Event()
         self._stopped = False
         self.queries_path = self.data_dir / QUERIES_FILE_NAME
@@ -377,7 +361,7 @@ class ClusterCoordinator:
     # -- lifecycle ------------------------------------------------------------
     def start(self) -> None:
         """Bind the HTTP front end and start the fan-out workers (idempotent)."""
-        if self._httpd is not None or self._gateway is not None:
+        if self._gateway is not None:
             return
         for index in range(max(1, self.config.fanout_workers)):
             thread = threading.Thread(
@@ -385,28 +369,16 @@ class ClusterCoordinator:
                 daemon=True)
             thread.start()
             self._threads.append(thread)
-        if self.config.frontend == "asyncio":
-            from repro.service.gateway import AsyncGateway, GatewayConfig
-            self._gateway = AsyncGateway(
-                self, GatewayConfig.from_service_config(self.config))
-            self._gateway.start()
-            return
-        self._httpd = ThreadingHTTPServer(
-            (self.config.host, self.config.port),
-            _handler_class(self, base=_CoordinatorRequestHandler))
-        self._httpd.daemon_threads = True
-        self._http_thread = threading.Thread(
-            target=self._httpd.serve_forever, name="repro-coordinator-http",
-            daemon=True)
-        self._http_thread.start()
+        self._gateway = AsyncGateway(
+            self, COORDINATOR_ROUTES,
+            GatewayConfig.from_service_config(self.config))
+        self._gateway.start()
 
     @property
     def port(self) -> int:
         """The actually bound TCP port (resolves ``port=0`` requests)."""
         if self._gateway is not None:
             return self._gateway.port
-        if self._httpd is not None:
-            return self._httpd.server_address[1]
         return self.config.port
 
     @property
@@ -424,13 +396,6 @@ class ClusterCoordinator:
             return
         self._stopped = True
         self._stop_requested.set()
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-            self._httpd = None
-        if self._http_thread is not None:
-            self._http_thread.join()
-            self._http_thread = None
         if self._gateway is not None:
             self._gateway.stop()
             self._gateway = None
@@ -700,7 +665,7 @@ class ClusterCoordinator:
                 shards[name] = self.probes[name].stats()
             except (ServiceError, OSError) as error:
                 shards[name] = {"error": str(error)}
-        return {
+        payload = {
             "role": "coordinator",
             "uptime_seconds": time.time() - self.started_at,
             "jobs": self.jobstore.counts(),
@@ -712,6 +677,9 @@ class ClusterCoordinator:
             "ring": {"shards": len(self.ring), "replicas": self.ring.replicas},
             "shards": shards,
         }
+        if self._gateway is not None:
+            payload["gateway"] = self._gateway.gateway_stats()
+        return payload
 
     def cluster_status(self) -> dict:
         """The ``GET /v1/cluster`` payload: topology, health, routing."""
@@ -1049,64 +1017,6 @@ class ClusterCoordinator:
             if self._stop_event.is_set() or time.monotonic() >= deadline:
                 return "unreachable", None
             time.sleep(self.config.poll_interval)
-
-
-class _CoordinatorRequestHandler(_JsonRequestHandler):
-    """Routes ``/v1/*`` requests onto the bound :class:`ClusterCoordinator`."""
-
-    service: ClusterCoordinator  # bound by _handler_class
-    server_version = "repro-coordinator"
-
-    def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-        """Dispatch GET endpoints."""
-        url = urlparse(self.path)
-        parts = [part for part in url.path.split("/") if part]
-        query = parse_qs(url.query, keep_blank_values=True)
-        if parts == ["v1", "healthz"]:
-            self._send_json(200, self.service.health())
-        elif parts == ["v1", "stats"]:
-            self._send_json(200, self.service.stats())
-        elif parts == ["v1", "cluster"]:
-            self._send_json(200, self.service.cluster_status())
-        elif parts == ["v1", "corpus"]:
-            self._send_json(200, self.service.corpus())
-        elif parts == ["v1", "jobs"]:
-            self._get_jobs(query)
-        elif len(parts) == 3 and parts[:2] == ["v1", "jobs"]:
-            job = self._job_or_404(parts[2])
-            if job is not None:
-                self._get_job(job, query)
-        elif not self._route_workload_get(parts, query):
-            self._send_error_json(404, f"no such endpoint: GET {url.path}")
-
-    def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
-        """Dispatch POST endpoints."""
-        url = urlparse(self.path)
-        parts = [part for part in url.path.split("/") if part]
-        payload = self._read_body()
-        if payload is None:
-            return
-        try:
-            if parts == ["v1", "jobs"]:
-                job = self.service.submit(
-                    payload.get("sources"), payload.get("analyses"),
-                    payload.get("options"),
-                    priority=payload.get("priority"),
-                    tenant=self.headers.get("X-Repro-Tenant"))
-                self._send_json(202, {"job": job.as_dict()})
-            elif parts == ["v1", "corpus"]:
-                self._send_json(200, self.service.ingest(
-                    payload.get("documents"), payload.get("remove", ())))
-            elif parts == ["v1", "cluster", "rebalance"]:
-                self._send_json(200, self.service.rebalance())
-            elif not self._route_workload_post(parts, payload):
-                self._send_error_json(404, f"no such endpoint: POST {url.path}")
-        except ServiceValidationError as error:
-            self._send_error_json(400, str(error))
-        except (ServiceError, OSError) as error:
-            # a worker refused or died mid-routing: the cluster is the
-            # broken dependency, so answer as a bad gateway
-            self._send_error_json(502, f"shard unreachable: {error}")
 
 
 __all__ = [

@@ -1,22 +1,18 @@
-"""The asyncio gateway: event-loop HTTP front end with admission control.
+"""The asyncio transport: the one HTTP front end of both daemon roles.
 
-:class:`AsyncGateway` is the high-concurrency alternative to the
-``ThreadingHTTPServer`` front end of
-:class:`~repro.service.server.AnalysisService` — hand-rolled HTTP/1.1
-over :func:`asyncio.start_server` (stdlib only), with keep-alive and
-chunked NDJSON streaming, speaking the existing ``/v1/*`` wire protocol
-**byte-for-byte**: every response body is produced by the same payload
-builders the threaded handlers use, and the stream endpoint emits the
-identical chunk framing.  The :class:`~repro.service.jobstore.JobStore`
-/ :class:`~repro.service.scheduler.Scheduler` contract underneath is
-unchanged; the gateway fronts either an
-:class:`~repro.service.server.AnalysisService` or a
-:class:`~repro.service.coordinator.ClusterCoordinator` (detected by
-duck-typing the coordinator's ``cluster_status`` operation) and is
-selected per daemon with ``repro serve --frontend asyncio``.
+:class:`AsyncGateway` serves a :class:`~repro.service.routes.RouteTable`
+— the worker's or the coordinator's — over hand-rolled HTTP/1.1 on
+:func:`asyncio.start_server` (stdlib only), with keep-alive and chunked
+NDJSON streaming.  It does transport work only: parsing request heads,
+keeping connections alive, writing the table's responses, and running
+the chunked stream loop.  Route handlers are blocking service
+operations (SQLite reads, job submission, corpus ingest); they run in
+the loop's default thread-pool executor, while the stream loop stays on
+the event loop, so a thousand idle streaming connections cost
+coroutines, not threads.
 
-What the event loop buys over a thread per connection is an explicit
-**admission-control layer** — the daemon sheds load instead of hanging:
+Around ``POST /v1/jobs`` the gateway adds an **admission-control
+layer**, so the daemon sheds load instead of hanging:
 
 * a **connection cap** (``--max-connections``): excess connections get
   an immediate ``503`` and are closed;
@@ -34,9 +30,7 @@ What the event loop buys over a thread per connection is an explicit
   single execution, with hit counts surfaced in ``/v1/stats``.
 
 All admission bookkeeping lives on the event loop (single-threaded, no
-locks); the blocking service operations — SQLite reads, job submission,
-corpus ingest — run in the loop's default thread-pool executor, so a
-thousand idle streaming connections cost coroutines, not threads.
+locks).
 """
 
 from __future__ import annotations
@@ -45,34 +39,24 @@ import asyncio
 import hashlib
 import json
 import math
+import sys
 import threading
 import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
-from urllib.parse import parse_qs, urlsplit
 
 from repro.api.envelope import canonical_json
-from repro.service.client import ServiceError
 from repro.service.jobstore import DEFAULT_PRIORITY, TERMINAL_STATES
-from repro.service.server import ROUTES as SERVER_ROUTES
-from repro.service.server import (
+from repro.service.routes import (
+    Request,
+    Response,
+    RouteTable,
     ServiceValidationError,
-    job_status_payload,
-    jobs_listing_payload,
+    Stream,
+    error_response,
 )
-from repro.service.workloads import (
-    WorkloadError,
-    workload_payload,
-    workloads_listing_payload,
-)
-
-#: every HTTP route the gateway serves in front of a single-node daemon —
-#: the exact surface of ``server.ROUTES``, kept in lockstep with
-#: ``docs/service.md`` by ``tools/check_api.py``; fronting a coordinator
-#: it serves ``coordinator.ROUTES`` instead
-ROUTES = SERVER_ROUTES
 
 #: tenant label applied when a request carries no ``X-Repro-Tenant``
 DEFAULT_TENANT = "default"
@@ -80,6 +64,7 @@ DEFAULT_TENANT = "default"
 #: reason phrases of every status the gateway emits
 _REASONS = {
     200: "OK",
+    201: "Created",
     202: "Accepted",
     400: "Bad Request",
     404: "Not Found",
@@ -233,17 +218,20 @@ class GatewayConfig:
     max_body_bytes: int = 256 * 1024 * 1024
     #: request heads beyond this are refused with 431
     max_header_bytes: int = 65536
-    #: stream-endpoint poll interval (matches the threaded front end)
+    #: stream-endpoint poll interval
     poll_interval: float = 0.05
     #: ``Retry-After`` seconds suggested on a full pending-job queue
     retry_after: float = 1.0
+    #: write one access-log line per request to stderr
+    log_requests: bool = False
 
     @classmethod
     def from_service_config(cls, config) -> "GatewayConfig":
         """Build from a ``ServiceConfig`` or ``CoordinatorConfig``.
 
         Reads the shared daemon knobs (bind address, gateway bounds,
-        quota-file path) off whichever config class carries them.
+        quota-file path, access logging) off whichever config class
+        carries them.
         """
         quotas = config.tenant_quotas
         if quotas and not (isinstance(quotas, dict) and all(
@@ -258,6 +246,7 @@ class GatewayConfig:
             tenant_quotas=quotas or {},
             coalesce=config.coalesce,
             poll_interval=config.poll_interval,
+            log_requests=config.log_requests,
         )
 
 
@@ -267,10 +256,10 @@ class AsyncGateway:
     Parameters
     ----------
     service:
-        The daemon to front: an ``AnalysisService`` or a
-        ``ClusterCoordinator`` (anything exposing the shared operations
-        surface — ``jobstore``, ``submit``, ``ingest``, ``corpus``,
-        ``health``, ``stats``).
+        The daemon the route handlers operate on: an ``AnalysisService``
+        or a ``ClusterCoordinator``.
+    routes:
+        That daemon role's route table.
     config:
         The gateway's own knobs; bind address and port included.
 
@@ -279,11 +268,11 @@ class AsyncGateway:
     immediately authoritative) and :meth:`stop` joins the thread.
     """
 
-    def __init__(self, service, config: Optional[GatewayConfig] = None):
+    def __init__(self, service, routes: RouteTable,
+                 config: Optional[GatewayConfig] = None):
         self.service = service
+        self.routes = routes
         self.config = config if config is not None else GatewayConfig()
-        #: coordinator daemons expose cluster routes instead of streams
-        self._is_coordinator = hasattr(service, "cluster_status")
         self._thread: Optional[threading.Thread] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
@@ -388,10 +377,9 @@ class AsyncGateway:
                 # shed before reading anything: an immediate, explicit 503
                 # beats a connection parked in an invisible accept queue
                 self._counters["shed_connections"] += 1
-                await self._send_json(
-                    writer, 503, {"error": "too many open connections"},
-                    extra=(("Retry-After", _retry_after_value(
-                        self.config.retry_after)),),
+                await self._send(writer, Response(
+                    503, {"error": "too many open connections"},
+                    headers=_retry_after(self.config.retry_after)),
                     keep=False)
                 return
             self._open_connections += 1
@@ -401,7 +389,7 @@ class AsyncGateway:
                 self._open_connections -= 1
         except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
             pass  # client hung up (or shutdown); nothing to answer
-        except Exception:  # noqa: BLE001 — a handler crash must not kill the loop
+        except Exception:  # noqa: BLE001 — a crash must not kill the loop
             traceback.print_exc()
         finally:
             self._tasks.discard(task)
@@ -422,242 +410,68 @@ class AsyncGateway:
                     asyncio.IncompleteReadError, ConnectionResetError):
                 return  # idle keep-alive expired, or the client closed
             except asyncio.LimitOverrunError:
-                await self._send_json(
-                    writer, 431, {"error": "request head too large"},
-                    keep=False)
+                await self._send(writer, Response(
+                    431, {"error": "request head too large"}), keep=False)
                 return
             if not await self._handle_request(head, reader, writer):
                 return
 
     async def _handle_request(self, head: bytes, reader, writer) -> bool:
-        """Parse and dispatch one request; returns keep-alive?"""
+        """Read, answer and log one request; returns keep-alive?"""
         try:
             method, target, version, headers = _parse_request_head(head)
         except ValueError as error:
-            await self._send_json(writer, 400, {"error": str(error)},
-                                  keep=False)
+            await self._send(writer, Response(400, {"error": str(error)}),
+                             keep=False)
             return False
+        try:
+            response = await self._answer(method, target, headers, reader)
+        except Exception as error:  # noqa: BLE001 — fail the request, not the loop
+            response = error_response(error)
+        if response is None:
+            return False  # the client hung up mid-body
+        if self.config.log_requests:
+            peer = writer.get_extra_info("peername") or ("-",)
+            print(f'{peer[0]} - - [{time.strftime("%d/%b/%Y %H:%M:%S")}] '
+                  f'"{method} {target} {version}" {response.status} -',
+                  file=sys.stderr, flush=True)
+        keep = (version == "HTTP/1.1" and not response.close
+                and headers.get("connection", "").lower() != "close")
+        if response.stream is not None:
+            await self._stream(response.stream, writer, keep)
+        else:
+            await self._send(writer, response, keep)
+        return keep
+
+    async def _answer(self, method, target, headers,
+                      reader) -> Optional[Response]:
+        """Read the body and route the request; ``None`` if the client left."""
         try:
             length = int(headers.get("content-length", "0") or "0")
         except ValueError:
-            await self._send_json(
-                writer, 400, {"error": "malformed Content-Length"}, keep=False)
-            return False
+            return Response(400, {"error": "malformed Content-Length"},
+                            close=True)
         if length > self.config.max_body_bytes:
-            await self._send_json(
-                writer, 413, {"error": "request body too large"}, keep=False)
-            return False
-        body = b""
-        if length:
-            try:
-                body = await reader.readexactly(length)
-            except (asyncio.IncompleteReadError, ConnectionResetError):
-                return False
-        keep = (version == "HTTP/1.1"
-                and headers.get("connection", "").lower() != "close")
-        self._counters["requests"] += 1
+            return Response(413, {"error": "request body too large"},
+                            close=True)
         try:
-            return await self._dispatch(method, target, headers, body,
-                                        writer, keep)
-        except (ConnectionResetError, BrokenPipeError):
-            raise
-        except asyncio.CancelledError:
-            raise
-        except Exception as error:  # noqa: BLE001 — fail the request, not the loop
-            traceback.print_exc()
-            try:
-                await self._send_json(
-                    writer, 500,
-                    {"error": f"internal error: "
-                              f"{type(error).__name__}: {error}"},
-                    keep=False)
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-            return False
+            body = await reader.readexactly(length) if length else b""
+        except (asyncio.IncompleteReadError, ConnectionResetError):
+            return None
+        self._counters["requests"] += 1
+        request = Request(method, target, headers, body)
+        if method == "POST" and request.parts == ["v1", "jobs"]:
+            return await self._submit(request)
+        return await self._route(request)
 
-    # -- routing --------------------------------------------------------------
     async def _call(self, func, *args):
         """Run one blocking service operation in the executor pool."""
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(None, lambda: func(*args))
 
-    async def _dispatch(self, method, target, headers, body, writer,
-                        keep: bool) -> bool:
-        url = urlsplit(target)
-        parts = [part for part in url.path.split("/") if part]
-        query = parse_qs(url.query, keep_blank_values=True)
-        service = self.service
-        if method == "GET":
-            if parts == ["v1", "healthz"]:
-                await self._send_json(writer, 200,
-                                      await self._call(service.health),
-                                      keep=keep)
-            elif parts == ["v1", "stats"]:
-                payload = await self._call(service.stats)
-                payload["gateway"] = self.gateway_stats()
-                await self._send_json(writer, 200, payload, keep=keep)
-            elif parts == ["v1", "cluster"] and self._is_coordinator:
-                await self._send_json(writer, 200,
-                                      await self._call(service.cluster_status),
-                                      keep=keep)
-            elif parts == ["v1", "corpus"]:
-                await self._send_json(writer, 200,
-                                      await self._call(service.corpus),
-                                      keep=keep)
-            elif parts == ["v1", "jobs"]:
-                try:
-                    payload = await self._call(
-                        jobs_listing_payload, service.jobstore, query)
-                except ServiceValidationError as error:
-                    await self._send_json(writer, 400, {"error": str(error)},
-                                          keep=keep)
-                    return keep
-                await self._send_json(writer, 200, payload, keep=keep)
-            elif len(parts) == 3 and parts[:2] == ["v1", "jobs"]:
-                job = await self._job_or_404(parts[2], writer, keep)
-                if job is not None:
-                    await self._send_json(
-                        writer, 200,
-                        await self._call(job_status_payload,
-                                         service.jobstore, job, query),
-                        keep=keep)
-            elif (len(parts) == 4 and parts[:2] == ["v1", "jobs"]
-                    and parts[3] == "stream" and not self._is_coordinator):
-                job = await self._job_or_404(parts[2], writer, keep)
-                if job is not None:
-                    return await self._stream_job(job, query, writer, keep)
-            elif parts == ["v1", "queries"]:
-                await self._send_json(writer, 200,
-                                      await self._call(service.queries_payload),
-                                      keep=keep)
-            elif parts == ["v1", "workloads"]:
-                try:
-                    payload = await self._call(
-                        workloads_listing_payload, service.jobstore, query)
-                except (ServiceValidationError, WorkloadError) as error:
-                    await self._send_json(writer, 400, {"error": str(error)},
-                                          keep=keep)
-                    return keep
-                await self._send_json(writer, 200, payload, keep=keep)
-            elif len(parts) == 3 and parts[:2] == ["v1", "workloads"]:
-                job = await self._workload_or_404(parts[2], writer, keep)
-                if job is not None:
-                    await self._send_json(
-                        writer, 200,
-                        await self._call(workload_payload, service.jobstore,
-                                         job, "chunks" in query),
-                        keep=keep)
-            else:
-                await self._send_json(
-                    writer, 404,
-                    {"error": f"no such endpoint: GET {url.path}"}, keep=keep)
-        elif method == "POST":
-            try:
-                payload = json.loads(body.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                await self._send_json(
-                    writer, 400, {"error": "request body is not valid JSON"},
-                    keep=keep)
-                return keep
-            if not isinstance(payload, dict):
-                await self._send_json(
-                    writer, 400, {"error": "request body must be a JSON object"},
-                    keep=keep)
-                return keep
-            if parts == ["v1", "jobs"]:
-                return await self._submit_job(payload, headers, writer, keep)
-            try:
-                if parts == ["v1", "corpus"]:
-                    await self._send_json(
-                        writer, 200,
-                        await self._call(service.ingest,
-                                         payload.get("documents"),
-                                         payload.get("remove", ())),
-                        keep=keep)
-                elif (parts == ["v1", "cluster", "rebalance"]
-                        and self._is_coordinator):
-                    await self._send_json(writer, 200,
-                                          await self._call(service.rebalance),
-                                          keep=keep)
-                elif parts == ["v1", "workloads"]:
-                    tenant = headers.get("x-repro-tenant")
-                    job = await self._call(
-                        lambda: service.submit_workload(payload, tenant=tenant))
-                    await self._send_json(
-                        writer, 202,
-                        await self._call(workload_payload,
-                                         service.jobstore, job),
-                        keep=keep)
-                elif (len(parts) == 4 and parts[:2] == ["v1", "workloads"]
-                        and parts[3] == "resume"):
-                    job = await self._workload_or_404(parts[2], writer, keep)
-                    if job is not None:
-                        job = await self._call(
-                            service.resume_workload, job.job_id)
-                        await self._send_json(
-                            writer, 202,
-                            await self._call(workload_payload,
-                                             service.jobstore, job),
-                            keep=keep)
-                elif (len(parts) == 4 and parts[:2] == ["v1", "jobs"]
-                        and parts[3] == "cancel"):
-                    job = await self._job_or_404(parts[2], writer, keep)
-                    if job is not None:
-                        state = await self._call(
-                            service.cancel_job, job.job_id)
-                        await self._send_json(
-                            writer, 200, {"id": job.job_id, "state": state},
-                            keep=keep)
-                elif parts == ["v1", "queries"]:
-                    await self._send_json(
-                        writer, 201,
-                        await self._call(service.register_query_spec, payload),
-                        keep=keep)
-                else:
-                    await self._send_json(
-                        writer, 404,
-                        {"error": f"no such endpoint: POST {url.path}"},
-                        keep=keep)
-            except ServiceValidationError as error:
-                await self._send_json(writer, 400, {"error": str(error)},
-                                      keep=keep)
-            except (ServiceError, OSError) as error:
-                # coordinator parity: a worker refused or died mid-routing
-                # is the broken dependency, so answer as a bad gateway
-                await self._send_json(
-                    writer, 502, {"error": f"shard unreachable: {error}"},
-                    keep=keep)
-        else:
-            await self._send_json(
-                writer, 501, {"error": f"unsupported method {method}"},
-                keep=False)
-            return False
-        return keep
-
-    async def _job_or_404(self, raw_id: str, writer, keep: bool):
-        """Resolve a path job id (404 messages identical to the threaded)."""
-        try:
-            job_id = int(raw_id)
-        except ValueError:
-            await self._send_json(
-                writer, 404, {"error": f"malformed job id {raw_id!r}"},
-                keep=keep)
-            return None
-        job = await self._call(self.service.jobstore.get, job_id)
-        if job is None:
-            await self._send_json(writer, 404, {"error": f"no job {job_id}"},
-                                  keep=keep)
-        return job
-
-    async def _workload_or_404(self, raw_id: str, writer, keep: bool):
-        """Resolve a path workload id (messages match the threaded server)."""
-        job = await self._job_or_404(raw_id, writer, keep)
-        if job is not None and job.workload is None:
-            await self._send_json(
-                writer, 404,
-                {"error": f"job {job.job_id} is not a workload"}, keep=keep)
-            return None
-        return job
+    async def _route(self, request: Request) -> Response:
+        """Answer one request from the route table, in the executor."""
+        return await self._call(self.routes.dispatch, self.service, request)
 
     # -- admission-controlled submission --------------------------------------
     def _quota(self, tenant: str) -> TenantQuota:
@@ -678,15 +492,19 @@ class AsyncGateway:
                 if state not in TERMINAL_STATES)
         return inflight
 
-    async def _submit_job(self, payload, headers, writer, keep: bool) -> bool:
+    async def _submit(self, request: Request) -> Response:
         """``POST /v1/jobs`` behind the full admission-control stack.
 
         Order of the checks: token bucket (cheapest, charges every
         attempt), then coalescing (a hit consumes no queue slot and no
         in-flight budget), then the global pending bound, then the
-        tenant's in-flight quota, then the actual submission.
+        tenant's in-flight quota, then the route table's submission.
         """
-        tenant = headers.get("x-repro-tenant") or DEFAULT_TENANT
+        try:
+            payload = request.payload
+        except ServiceValidationError:
+            return await self._route(request)  # the table answers the 400
+        tenant = request.tenant or DEFAULT_TENANT
         quota = self._quota(tenant)
         if quota.rate is not None:
             bucket = self._buckets.get(tenant)
@@ -697,13 +515,10 @@ class AsyncGateway:
             wait = bucket.acquire()
             if wait > 0.0:
                 self._counters["shed_rate_limited"] += 1
-                await self._send_json(
-                    writer, 429,
-                    {"error": f"tenant {tenant!r} exceeded its submission "
-                              f"rate ({quota.rate:g}/s)"},
-                    extra=(("Retry-After", _retry_after_value(wait)),),
-                    keep=keep)
-                return keep
+                return Response(
+                    429, {"error": f"tenant {tenant!r} exceeded its "
+                                   f"submission rate ({quota.rate:g}/s)"},
+                    headers=_retry_after(wait))
         # the remaining checks and the submission run under one lock, so
         # N concurrent identical submissions resolve to exactly one job:
         # the first creates it, the rest observe it in the coalesce index
@@ -714,52 +529,35 @@ class AsyncGateway:
                 attached = await self._attached_job(key)
                 if attached is not None:
                     self._counters["coalesce_hits"] += 1
-                    response = {"job": attached.as_dict(), "coalesced": True}
-                    await self._send_json(writer, 202, response, keep=keep)
-                    return keep
+                    return Response(
+                        202, {"job": attached.as_dict(), "coalesced": True})
             depth = await self._call(self.service.jobstore.queue_depth)
             if depth >= self.config.max_pending_jobs:
                 self._counters["shed_queue_full"] += 1
-                await self._send_json(
-                    writer, 503,
-                    {"error": f"job queue full ({depth} jobs pending)"},
-                    extra=(("Retry-After", _retry_after_value(
-                        self.config.retry_after)),),
-                    keep=keep)
-                return keep
+                return Response(
+                    503, {"error": f"job queue full ({depth} jobs pending)"},
+                    headers=_retry_after(self.config.retry_after))
             if quota.max_inflight is not None:
                 inflight = await self._prune_inflight(tenant)
                 if len(inflight) >= quota.max_inflight:
                     self._counters["shed_inflight"] += 1
-                    await self._send_json(
-                        writer, 429,
-                        {"error": f"tenant {tenant!r} has {len(inflight)} "
-                                  f"jobs in flight "
-                                  f"(limit {quota.max_inflight})"},
-                        extra=(("Retry-After", _retry_after_value(
-                            self.config.retry_after)),),
-                        keep=keep)
-                    return keep
-            try:
-                job = await self._call(
-                    lambda: self.service.submit(
-                        payload.get("sources"), payload.get("analyses"),
-                        payload.get("options"),
-                        priority=payload.get("priority"),
-                        tenant=headers.get("x-repro-tenant")))
-            except ServiceValidationError as error:
-                await self._send_json(writer, 400, {"error": str(error)},
-                                      keep=keep)
-                return keep
+                    return Response(
+                        429, {"error": f"tenant {tenant!r} has "
+                                       f"{len(inflight)} jobs in flight "
+                                       f"(limit {quota.max_inflight})"},
+                        headers=_retry_after(self.config.retry_after))
+            response = await self._route(request)
+            if response.status != 202:
+                return response
+            job_id = response.body["job"]["id"]
             if key is not None:
                 self._counters["coalesce_misses"] += 1
-                self._coalesce_index[key] = job.job_id
+                self._coalesce_index[key] = job_id
                 if len(self._coalesce_index) > 4 * self.config.max_pending_jobs:
                     await self._sweep_coalesce_index()
             if quota.max_inflight is not None:
-                self._inflight.setdefault(tenant, set()).add(job.job_id)
-        await self._send_json(writer, 202, {"job": job.as_dict()}, keep=keep)
-        return keep
+                self._inflight.setdefault(tenant, set()).add(job_id)
+        return response
 
     async def _attached_job(self, key: str):
         """The live job an identical submission attaches to, if any.
@@ -785,20 +583,15 @@ class AsyncGateway:
             key: job_id for key, job_id in self._coalesce_index.items()
             if states.get(job_id) not in (*TERMINAL_STATES, None)}
 
-    # -- streaming ------------------------------------------------------------
-    async def _stream_job(self, job, query, writer, keep: bool) -> bool:
-        """Chunked NDJSON, byte-identical framing to the threaded server.
+    # -- responses ------------------------------------------------------------
+    async def _stream(self, stream: Stream, writer, keep: bool) -> None:
+        """Chunked NDJSON: each envelope line is one chunk.
 
-        Each envelope line is one chunk (``%X\\r\\n<line>\\r\\n``) of the
-        stored canonical JSON plus the newline, closed by ``0\\r\\n\\r\\n``
-        — the exact bytes ``_ServiceRequestHandler._stream_job`` writes.
+        A chunk is ``%X\\r\\n<line>\\r\\n`` — the stored canonical JSON
+        of the envelope plus a newline, so a streamed job compares byte
+        for byte against a local batch run — and ``0\\r\\n\\r\\n`` ends
+        the stream.
         """
-        try:
-            timeout = float(query["timeout"][0]) if "timeout" in query else None
-        except ValueError:
-            await self._send_json(
-                writer, 400, {"error": "'timeout' must be a number"}, keep=keep)
-            return keep
         head = [b"HTTP/1.1 200 OK",
                 b"Content-Type: application/x-ndjson",
                 b"Transfer-Encoding: chunked"]
@@ -806,36 +599,35 @@ class AsyncGateway:
             head.append(b"Connection: close")
         writer.write(b"\r\n".join(head) + b"\r\n\r\n")
         jobstore = self.service.jobstore
-        deadline = time.monotonic() + timeout if timeout is not None else None
         last_seq = -1
         while True:
-            # state before results: a terminal state observed here
-            # guarantees the fetch below has the complete tail
-            current = await self._call(jobstore.get, job.job_id)
+            # state before results: envelopes are appended before the job
+            # finishes, so a terminal state observed here guarantees the
+            # fetch below has the complete tail
+            current = await self._call(jobstore.get, stream.job_id)
             for seq, envelope in await self._call(
-                    jobstore.results, job.job_id, last_seq):
+                    jobstore.results, stream.job_id, last_seq):
                 data = envelope.encode("utf-8") + b"\n"
                 writer.write(b"%X\r\n" % len(data) + data + b"\r\n")
                 last_seq = seq
             await writer.drain()
             if current is None or current.state in TERMINAL_STATES:
                 break
-            if deadline is not None and time.monotonic() >= deadline:
+            if (stream.deadline is not None
+                    and time.monotonic() >= stream.deadline):
                 break
             await asyncio.sleep(self.config.poll_interval)
         writer.write(b"0\r\n\r\n")
         await writer.drain()
-        return keep
 
-    # -- responses ------------------------------------------------------------
-    async def _send_json(self, writer, status: int, payload: dict,
-                         extra=(), keep: bool = True) -> None:
-        """Write one JSON response (body bytes match the threaded server)."""
-        body = json.dumps(payload).encode("utf-8")
-        lines = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
+    async def _send(self, writer, response: Response, keep: bool) -> None:
+        """Write one JSON response."""
+        body = json.dumps(response.body).encode("utf-8")
+        lines = [f"HTTP/1.1 {response.status} "
+                 f"{_REASONS.get(response.status, 'Unknown')}",
                  "Content-Type: application/json",
                  f"Content-Length: {len(body)}"]
-        for name, value in extra:
+        for name, value in response.headers:
             lines.append(f"{name}: {value}")
         if not keep:
             lines.append("Connection: close")
@@ -844,10 +636,14 @@ class AsyncGateway:
 
     # -- introspection --------------------------------------------------------
     def gateway_stats(self) -> dict:
-        """The ``gateway`` block the asyncio front end adds to ``/v1/stats``."""
-        counters = self._counters
+        """The ``gateway`` block of ``/v1/stats``.
+
+        Called from executor threads while the loop runs, so the mutable
+        maps are copied in one step before they are read.
+        """
+        counters = dict(self._counters)
+        inflight = sorted(self._inflight.items())
         return {
-            "frontend": "asyncio",
             "open_connections": self._open_connections,
             "connections_opened": counters["connections_opened"],
             "requests": counters["requests"],
@@ -870,16 +666,15 @@ class AsyncGateway:
             },
             "tenants": {
                 tenant: {"inflight": len(ids)}
-                for tenant, ids in sorted(self._inflight.items()) if ids
+                for tenant, ids in inflight if ids
             },
         }
 
 
-def _retry_after_value(seconds: float) -> str:
-    """``Retry-After`` header value: whole seconds, at least 1."""
-    if not math.isfinite(seconds):
-        return "60"
-    return str(max(1, math.ceil(seconds)))
+def _retry_after(seconds: float) -> tuple:
+    """The ``Retry-After`` header: whole seconds, at least 1."""
+    value = str(max(1, math.ceil(seconds))) if math.isfinite(seconds) else "60"
+    return (("Retry-After", value),)
 
 
 def _parse_request_head(head: bytes) -> tuple:
@@ -910,7 +705,6 @@ __all__ = [
     "AsyncGateway",
     "DEFAULT_TENANT",
     "GatewayConfig",
-    "ROUTES",
     "TenantQuota",
     "UNLIMITED_QUOTA",
     "coalesce_key",

@@ -4,22 +4,15 @@
 *resident* — one :class:`~repro.api.session.AnalysisSession` (a warm
 parse-once artifact store plus an executor pool) and one live
 :class:`~repro.ccd.detector.CloneDetector` index — and serves analysis
-jobs over HTTP (:class:`http.server.ThreadingHTTPServer`; no third-party
-web framework, per the project's stdlib-only rule).  Every batch entry
-point pays index/parse warm-up per invocation; the daemon pays it once
-per process and amortizes it over every request.
+jobs over HTTP.  Every batch entry point pays index/parse warm-up per
+invocation; the daemon pays it once per process and amortizes it over
+every request.
 
-Endpoints (see ``docs/service.md`` for the full reference):
-
-* ``POST /v1/jobs`` — submit sources + analyses; returns the queued job,
-* ``GET /v1/jobs`` — list recent jobs,
-* ``GET /v1/jobs/{id}`` — poll one job's status and result envelopes,
-* ``GET /v1/jobs/{id}/stream`` — chunked NDJSON envelopes as they
-  complete (jobs run through ``Executor.imap_batches`` underneath),
-* ``POST /v1/corpus`` — ingest documents into the live CCD index,
-  persisted incrementally via :func:`repro.ccd.index_io.append_to_index`,
-* ``GET /v1/healthz`` / ``GET /v1/stats`` — liveness and counters
-  (cache hit rates, match stats, queue depth).
+The endpoints (``POST /v1/jobs``, ``GET /v1/jobs/{id}[/stream]``,
+``POST /v1/corpus``, ``GET /v1/stats``, ...) are the worker route table,
+:data:`repro.service.routes.WORKER_ROUTES`, served by the asyncio
+transport :class:`~repro.service.gateway.AsyncGateway` — stdlib only, no
+third-party web framework.  ``docs/service.md`` is the full reference.
 
 Durability: jobs live in a :class:`~repro.service.jobstore.JobStore`
 (SQLite) and survive restarts — on startup, jobs a killed daemon left
@@ -34,12 +27,9 @@ import json
 import threading
 import time
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Optional, Union
-from urllib.parse import parse_qs, urlparse
+from typing import Optional
 
-from repro.api.registry import REGISTRY
 from repro.api.session import AnalysisSession, SessionConfig
 from repro.ccd.detector import CloneDetector
 from repro.ccd.index_io import MANIFEST_NAME, append_to_index
@@ -51,37 +41,21 @@ from repro.service.delta import (
     SourceJournal,
     resolve_ingest_documents,
 )
+from repro.service.gateway import AsyncGateway, GatewayConfig
 from repro.service.jobstore import (
     DEFAULT_BATCH_AGING,
-    JOB_STATES,
     JOBS_DATABASE_NAME,
     PRIORITY_LANES,
-    TERMINAL_STATES,
     Job,
     JobStore,
 )
+from repro.service.routes import WORKER_ROUTES, ServiceValidationError
 from repro.service.scheduler import ReadWriteLock, Scheduler
-from repro.service.workloads import (
-    ROUTES as WORKLOAD_ROUTES,
-    WorkloadError,
-    validate_workload_request,
-    workload_payload,
-    workloads_listing_payload,
-)
+from repro.service.workloads import WorkloadError, validate_workload_request
 
-#: every HTTP route the daemon serves — kept in lockstep with
-#: ``docs/service.md`` by ``tools/check_api.py``; the workload-engine
-#: routes (cancel, workloads, queries) ride along from ``workloads.py``
-ROUTES = tuple(sorted((
-    ("GET", "/v1/corpus"),
-    ("GET", "/v1/healthz"),
-    ("GET", "/v1/jobs"),
-    ("GET", "/v1/jobs/{id}"),
-    ("GET", "/v1/jobs/{id}/stream"),
-    ("GET", "/v1/stats"),
-    ("POST", "/v1/corpus"),
-    ("POST", "/v1/jobs"),
-) + WORKLOAD_ROUTES))
+#: every HTTP route the daemon serves, read off its route table — kept
+#: in lockstep with ``docs/service.md`` by ``tools/check_api.py``
+ROUTES = WORKER_ROUTES.endpoints
 
 #: file inside the data dir persisting registered custom query specs
 QUERIES_FILE_NAME = "queries.json"
@@ -91,10 +65,6 @@ INDEX_DIRECTORY_NAME = "index"
 
 #: subdirectory of the data dir holding the disk artifact cache
 CACHE_DIRECTORY_NAME = "cache"
-
-
-class ServiceValidationError(ValueError):
-    """A request body failed validation (mapped to HTTP 400)."""
 
 
 def validate_sources(sources, what: str) -> list:
@@ -209,16 +179,13 @@ class ServiceConfig:
     poll_interval: float = 0.05
     #: emit one access-log line per request to stderr
     log_requests: bool = False
-    #: HTTP front end: ``threaded`` (thread per connection) or ``asyncio``
-    #: (event-loop gateway with admission control; see ``gateway.py``)
-    frontend: str = "threaded"
-    #: asyncio gateway: queued+running jobs beyond this are shed with 503
+    #: queued+running jobs beyond this are shed with 503
     max_pending_jobs: int = 256
-    #: asyncio gateway: open connections beyond this are shed with 503
+    #: open connections beyond this are shed with 503
     max_connections: int = 1024
-    #: asyncio gateway: path of a TOML/JSON per-tenant quota file
+    #: path of a TOML/JSON per-tenant quota file
     tenant_quotas: Optional[str] = None
-    #: asyncio gateway: coalesce concurrent identical job submissions
+    #: coalesce concurrent identical job submissions
     coalesce: bool = True
     #: interactive claims a waiting batch job tolerates before it is served
     batch_aging: int = DEFAULT_BATCH_AGING
@@ -259,10 +226,6 @@ class AnalysisService:
 
     def __init__(self, config: Optional[ServiceConfig] = None):
         self.config = config if config is not None else ServiceConfig()
-        if self.config.frontend not in ("threaded", "asyncio"):
-            raise ValueError(
-                f"frontend must be 'threaded' or 'asyncio', "
-                f"not {self.config.frontend!r}")
         self.data_dir = Path(self.config.data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self.started_at = time.time()
@@ -284,18 +247,12 @@ class AnalysisService:
             poll_interval=self.config.poll_interval,
             work_lock=self._work_lock,
         )
-        self._httpd: Optional[ThreadingHTTPServer] = None
-        self._http_thread: Optional[threading.Thread] = None
-        self._gateway = None  # AsyncGateway when frontend == "asyncio"
+        self._gateway: Optional[AsyncGateway] = None
         self._stop_requested = threading.Event()
         self._stopped = False
         self.queries_path = self.data_dir / QUERIES_FILE_NAME
         #: custom queries reloaded from a previous daemon's registrations
-        self.reloaded_queries = self._load_custom_queries()
-
-    def _load_custom_queries(self) -> int:
-        """Re-register the custom DSL queries persisted in this data dir."""
-        return load_custom_queries(self.queries_path)
+        self.reloaded_queries = load_custom_queries(self.queries_path)
 
     def _open_detector(self) -> CloneDetector:
         """Reload the persisted index (zero parses) or start an empty one."""
@@ -329,31 +286,18 @@ class AnalysisService:
     # -- lifecycle ------------------------------------------------------------
     def start(self) -> None:
         """Bind the HTTP front end and start draining the queue (idempotent)."""
-        if self._httpd is not None or self._gateway is not None:
+        if self._gateway is not None:
             return
         self.scheduler.start()
-        if self.config.frontend == "asyncio":
-            # imported lazily: gateway.py imports this module at top level
-            from repro.service.gateway import AsyncGateway, GatewayConfig
-            self._gateway = AsyncGateway(
-                self, GatewayConfig.from_service_config(self.config))
-            self._gateway.start()
-            return
-        self._httpd = ThreadingHTTPServer(
-            (self.config.host, self.config.port), _handler_class(self))
-        self._httpd.daemon_threads = True
-        self._http_thread = threading.Thread(
-            target=self._httpd.serve_forever, name="repro-service-http",
-            daemon=True)
-        self._http_thread.start()
+        self._gateway = AsyncGateway(
+            self, WORKER_ROUTES, GatewayConfig.from_service_config(self.config))
+        self._gateway.start()
 
     @property
     def port(self) -> int:
         """The actually bound TCP port (resolves ``port=0`` requests)."""
         if self._gateway is not None:
             return self._gateway.port
-        if self._httpd is not None:
-            return self._httpd.server_address[1]
         return self.config.port
 
     @property
@@ -375,13 +319,6 @@ class AnalysisService:
             return
         self._stopped = True
         self._stop_requested.set()
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-            self._httpd = None
-        if self._http_thread is not None:
-            self._http_thread.join()
-            self._http_thread = None
         if self._gateway is not None:
             self._gateway.stop()
             self._gateway = None
@@ -406,7 +343,7 @@ class AnalysisService:
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
-    # -- operations (shared by HTTP handlers, the CLI, and tests) -------------
+    # -- operations (shared by the route table, the CLI, and tests) -----------
     def submit(self, sources, analyses, options: Optional[dict] = None,
                priority: Optional[str] = None,
                tenant: Optional[str] = None) -> Job:
@@ -604,7 +541,7 @@ class AnalysisService:
         """The ``/v1/stats`` payload: cache, index, match, and queue counters."""
         store_stats = self.session.stats.as_dict()
         store_stats["hit_rate"] = self.session.stats.hit_rate
-        return {
+        payload = {
             "uptime_seconds": time.time() - self.started_at,
             "jobs": self.jobstore.counts(),
             "jobs_completed": self.scheduler.jobs_completed,
@@ -639,6 +576,9 @@ class AnalysisService:
                 "similarity_threshold": self.config.similarity_threshold,
             },
         }
+        if self._gateway is not None:
+            payload["gateway"] = self._gateway.gateway_stats()
+        return payload
 
     def _job_options(self, job: Job) -> dict:
         """Thread the resident index into ``ccd`` jobs (unless opted out).
@@ -655,58 +595,6 @@ class AnalysisService:
             if ccd_options.pop("resident", True):
                 ccd_options["detector"] = self.detector
         return options
-
-    @staticmethod
-    def _validated_sources(sources, what: str) -> list:
-        return validate_sources(sources, what)
-
-
-def _query_int(query: dict, name: str, default: int) -> int:
-    """Parse one integer query parameter (400 on garbage)."""
-    raw = query.get(name, [str(default)])[0]
-    try:
-        return int(raw)
-    except ValueError:
-        raise ServiceValidationError(f"'{name}' must be an integer") from None
-
-
-def jobs_listing_payload(jobstore, query: dict) -> dict:
-    """The ``GET /v1/jobs`` body for one parsed query string.
-
-    Shared by the threaded handlers and the asyncio gateway so both
-    front ends serve byte-identical listings.  Supports pagination
-    (``limit``/``offset``) and filtering (``state``/``tenant``); raises
-    :class:`ServiceValidationError` on malformed parameters.
-    """
-    state = query.get("state", [None])[0]
-    if state is not None and state not in JOB_STATES:
-        raise ServiceValidationError(
-            f"'state' must be one of {'|'.join(JOB_STATES)}")
-    tenant = query.get("tenant", [None])[0]
-    limit = _query_int(query, "limit", 100)
-    offset = _query_int(query, "offset", 0)
-    jobs = jobstore.list_jobs(state=state, limit=limit, offset=offset,
-                              tenant=tenant)
-    return {
-        "jobs": [job.as_dict() for job in jobs],
-        "total": jobstore.count_jobs(state=state, tenant=tenant),
-        "limit": limit,
-        "offset": offset,
-    }
-
-
-def job_status_payload(jobstore, job: Job, query: dict) -> dict:
-    """The ``GET /v1/jobs/{id}`` body for one parsed query string.
-
-    Shared by the threaded handlers and the asyncio gateway.
-    ``?results=0`` is the cheap status poll: clients following a long
-    job should not re-download every envelope on every poll.
-    """
-    payload = {"job": job.as_dict(include_corpus="corpus" in query)}
-    if query.get("results", ["1"])[0] not in ("0", "false", "none"):
-        rows = jobstore.results(job.job_id)
-        payload["results"] = [json.loads(envelope) for _seq, envelope in rows]
-    return payload
 
 
 def load_custom_queries(path: Path) -> int:
@@ -769,238 +657,6 @@ def custom_queries_payload() -> dict:
     ]}
 
 
-def _handler_class(service, base=None):
-    """Bind a request-handler class to one service instance.
-
-    ``base`` defaults to the single-node handler; the cluster
-    coordinator passes its own handler class.
-    """
-
-    class Handler(base if base is not None else _ServiceRequestHandler):
-        """The per-server handler (carries its service as a class attr)."""
-
-    Handler.service = service
-    return Handler
-
-
-class _JsonRequestHandler(BaseHTTPRequestHandler):
-    """Shared JSON plumbing of the service and coordinator handlers.
-
-    Subclasses route requests onto ``self.service`` — any object with a
-    ``jobstore`` attribute and a ``config.log_requests`` flag.
-    """
-
-    service = None  # bound by _handler_class
-    protocol_version = "HTTP/1.1"
-
-    # -- plumbing -------------------------------------------------------------
-    def log_message(self, format, *args):  # noqa: A002 (stdlib signature)
-        """Access-log line (stderr), only when configured."""
-        if self.service.config.log_requests:
-            super().log_message(format, *args)
-
-    def _send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_error_json(self, status: int, message: str) -> None:
-        self._send_json(status, {"error": message})
-
-    def _read_body(self) -> Optional[dict]:
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-            payload = json.loads(self.rfile.read(length).decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            self._send_error_json(400, "request body is not valid JSON")
-            return None
-        if not isinstance(payload, dict):
-            self._send_error_json(400, "request body must be a JSON object")
-            return None
-        return payload
-
-    def _job_or_404(self, raw_id: str) -> Optional[Job]:
-        try:
-            job_id = int(raw_id)
-        except ValueError:
-            self._send_error_json(404, f"malformed job id {raw_id!r}")
-            return None
-        job = self.service.jobstore.get(job_id)
-        if job is None:
-            self._send_error_json(404, f"no job {job_id}")
-        return job
-
-    # -- GET endpoint bodies --------------------------------------------------
-    def _get_jobs(self, query: dict) -> None:
-        try:
-            payload = jobs_listing_payload(self.service.jobstore, query)
-        except ServiceValidationError as error:
-            self._send_error_json(400, str(error))
-            return
-        self._send_json(200, payload)
-
-    def _get_job(self, job: Job, query: dict) -> None:
-        self._send_json(
-            200, job_status_payload(self.service.jobstore, job, query))
-
-    # -- workload-engine routing (shared: daemon and coordinator) -------------
-    def _workload_or_404(self, raw_id: str) -> Optional[Job]:
-        job = self._job_or_404(raw_id)
-        if job is not None and job.workload is None:
-            self._send_error_json(404, f"job {job.job_id} is not a workload")
-            return None
-        return job
-
-    def _route_workload_get(self, parts: list, query: dict) -> bool:
-        """Serve the workload-engine GET endpoints; False when unmatched."""
-        if parts == ["v1", "queries"]:
-            self._send_json(200, self.service.queries_payload())
-            return True
-        if parts == ["v1", "workloads"]:
-            try:
-                payload = workloads_listing_payload(
-                    self.service.jobstore, query)
-            except (ServiceValidationError, WorkloadError) as error:
-                self._send_error_json(400, str(error))
-                return True
-            self._send_json(200, payload)
-            return True
-        if len(parts) == 3 and parts[:2] == ["v1", "workloads"]:
-            job = self._workload_or_404(parts[2])
-            if job is not None:
-                self._send_json(200, workload_payload(
-                    self.service.jobstore, job,
-                    include_chunks="chunks" in query))
-            return True
-        return False
-
-    def _route_workload_post(self, parts: list, payload: dict) -> bool:
-        """Serve the workload-engine POST endpoints; False when unmatched."""
-        if parts == ["v1", "workloads"]:
-            job = self.service.submit_workload(
-                payload, tenant=self.headers.get("X-Repro-Tenant"))
-            self._send_json(202, workload_payload(self.service.jobstore, job))
-            return True
-        if (len(parts) == 4 and parts[:2] == ["v1", "workloads"]
-                and parts[3] == "resume"):
-            job = self._workload_or_404(parts[2])
-            if job is not None:
-                job = self.service.resume_workload(job.job_id)
-                self._send_json(
-                    202, workload_payload(self.service.jobstore, job))
-            return True
-        if (len(parts) == 4 and parts[:2] == ["v1", "jobs"]
-                and parts[3] == "cancel"):
-            job = self._job_or_404(parts[2])
-            if job is not None:
-                state = self.service.cancel_job(job.job_id)
-                self._send_json(200, {"id": job.job_id, "state": state})
-            return True
-        if parts == ["v1", "queries"]:
-            self._send_json(201, self.service.register_query_spec(payload))
-            return True
-        return False
-
-
-class _ServiceRequestHandler(_JsonRequestHandler):
-    """Routes ``/v1/*`` requests onto the bound :class:`AnalysisService`."""
-
-    service: AnalysisService  # bound by _handler_class
-    server_version = "repro-service"
-
-    # -- routing --------------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-        """Dispatch GET endpoints."""
-        url = urlparse(self.path)
-        parts = [part for part in url.path.split("/") if part]
-        query = parse_qs(url.query, keep_blank_values=True)
-        if parts == ["v1", "healthz"]:
-            self._send_json(200, self.service.health())
-        elif parts == ["v1", "stats"]:
-            self._send_json(200, self.service.stats())
-        elif parts == ["v1", "corpus"]:
-            self._send_json(200, self.service.corpus())
-        elif parts == ["v1", "jobs"]:
-            self._get_jobs(query)
-        elif len(parts) == 3 and parts[:2] == ["v1", "jobs"]:
-            job = self._job_or_404(parts[2])
-            if job is not None:
-                self._get_job(job, query)
-        elif len(parts) == 4 and parts[:2] == ["v1", "jobs"] and parts[3] == "stream":
-            job = self._job_or_404(parts[2])
-            if job is not None:
-                self._stream_job(job, query)
-        elif not self._route_workload_get(parts, query):
-            self._send_error_json(404, f"no such endpoint: GET {url.path}")
-
-    def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
-        """Dispatch POST endpoints."""
-        url = urlparse(self.path)
-        parts = [part for part in url.path.split("/") if part]
-        payload = self._read_body()
-        if payload is None:
-            return
-        try:
-            if parts == ["v1", "jobs"]:
-                job = self.service.submit(
-                    payload.get("sources"), payload.get("analyses"),
-                    payload.get("options"),
-                    priority=payload.get("priority"),
-                    tenant=self.headers.get("X-Repro-Tenant"))
-                self._send_json(202, {"job": job.as_dict()})
-            elif parts == ["v1", "corpus"]:
-                self._send_json(200, self.service.ingest(
-                    payload.get("documents"), payload.get("remove", ())))
-            elif not self._route_workload_post(parts, payload):
-                self._send_error_json(404, f"no such endpoint: POST {url.path}")
-        except ServiceValidationError as error:
-            self._send_error_json(400, str(error))
-
-    def _stream_job(self, job: Job, query: dict) -> None:
-        """Chunked NDJSON: one canonical envelope per line, as they complete.
-
-        The bytes of each line are exactly the stored canonical JSON of
-        the envelope, so a streamed job compares byte-for-byte against a
-        local batch run.  The stream ends when the job reaches a
-        terminal state (or after ``?timeout=seconds``).
-        """
-        try:
-            timeout = float(query["timeout"][0]) if "timeout" in query else None
-        except ValueError:
-            self._send_error_json(400, "'timeout' must be a number")
-            return
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Transfer-Encoding", "chunked")
-        self.end_headers()
-        deadline = time.monotonic() + timeout if timeout is not None else None
-        last_seq = -1
-        try:
-            while True:
-                # read the state BEFORE the results: envelopes are appended
-                # before the job is finished, so a terminal state observed
-                # here guarantees the fetch below has the complete tail
-                current = self.service.jobstore.get(job.job_id)
-                for seq, envelope in self.service.jobstore.results(
-                        job.job_id, after=last_seq):
-                    self._write_chunk(envelope.encode("utf-8") + b"\n")
-                    last_seq = seq
-                if current is None or current.state in TERMINAL_STATES:
-                    break
-                if deadline is not None and time.monotonic() >= deadline:
-                    break
-                time.sleep(self.service.config.poll_interval)
-            self.wfile.write(b"0\r\n\r\n")
-        except (BrokenPipeError, ConnectionResetError):
-            self.close_connection = True  # client hung up mid-stream
-
-    def _write_chunk(self, data: bytes) -> None:
-        self.wfile.write(b"%X\r\n" % len(data) + data + b"\r\n")
-
-
 __all__ = [
     "AnalysisService",
     "CACHE_DIRECTORY_NAME",
@@ -1010,8 +666,6 @@ __all__ = [
     "ServiceConfig",
     "ServiceValidationError",
     "custom_queries_payload",
-    "job_status_payload",
-    "jobs_listing_payload",
     "load_custom_queries",
     "register_custom_query",
     "validate_document_ids",

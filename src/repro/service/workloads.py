@@ -37,19 +37,6 @@ from typing import Callable, Optional
 
 from repro.api.envelope import canonical_json
 
-#: the workload-engine HTTP routes — kept in lockstep with
-#: ``docs/service.md`` by ``tools/check_api.py``; every front end
-#: (worker, gateway, coordinator) serves all of them
-ROUTES = (
-    ("GET", "/v1/queries"),
-    ("GET", "/v1/workloads"),
-    ("GET", "/v1/workloads/{id}"),
-    ("POST", "/v1/jobs/{id}/cancel"),
-    ("POST", "/v1/queries"),
-    ("POST", "/v1/workloads"),
-    ("POST", "/v1/workloads/{id}/resume"),
-)
-
 
 class WorkloadError(ValueError):
     """A workload request failed validation (mapped to HTTP 400)."""
@@ -715,7 +702,6 @@ def run_workload_job(job, jobstore, session=None,
 
 
 __all__ = [
-    "ROUTES",
     "WORKLOADS",
     "Workload",
     "WorkloadContext",

@@ -463,13 +463,18 @@ class TestLiveIngest:
 # ---------------------------------------------------------------------------
 
 class TestScheduler:
-    def test_jobs_run_fifo(self, service, client, corpora):
+    def test_jobs_run_fifo(self, tmp_path, corpora):
         _, snippets = corpora
-        ids = [client.submit(snippets[:1], analyses=["ccd"])["id"]
-               for _ in range(4)]
-        for job_id in ids:
-            client.wait(job_id)
-        finished = [client.job(job_id)["job"]["finished"] for job_id in ids]
+        # identical submissions: keep them four distinct executions
+        with AnalysisService(make_config(tmp_path, coalesce=False)) as service:
+            client = ServiceClient(service.url)
+            ids = [client.submit(snippets[:1], analyses=["ccd"])["id"]
+                   for _ in range(4)]
+            for job_id in ids:
+                client.wait(job_id)
+            finished = [client.job(job_id)["job"]["finished"]
+                        for job_id in ids]
+        assert len(set(ids)) == 4
         assert finished == sorted(finished)
 
     def test_close_is_idempotent_and_graceful(self, tmp_path):
@@ -482,7 +487,8 @@ class TestScheduler:
 
     def test_multi_worker_pool_completes_everything(self, tmp_path, corpora):
         _, snippets = corpora
-        config = make_config(tmp_path, workers=3)
+        # identical submissions: keep them six distinct executions
+        config = make_config(tmp_path, workers=3, coalesce=False)
         with AnalysisService(config) as service:
             client = ServiceClient(service.url)
             ids = [client.submit(snippets[:2], analyses=["ccd"])["id"]

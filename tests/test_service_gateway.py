@@ -1,10 +1,13 @@
-"""Tests for the asyncio gateway front end (``repro.service.gateway``).
+"""Tests for the asyncio transport and the route tables it serves.
 
 The acceptance bar of the subsystem:
 
-* the asyncio front end serves the full ``/v1/*`` protocol
-  **byte-identically** to the threaded server — response bodies, error
-  messages, and the chunked NDJSON stream framing,
+* both daemon roles answer the full ``/v1/*`` protocol
+  **byte-identically** to the golden wire transcripts
+  (``tests/wire_transcript.py``) — response bodies, error messages, and
+  the chunked NDJSON stream framing,
+* one error mapping covers every route of both roles: an unexpected
+  exception is a JSON 500, an unreachable shard a 502,
 * overload degrades by **shedding** (429/503 + ``Retry-After``), never
   by hanging a request,
 * per-tenant quotas isolate tenants: one tenant over budget cannot
@@ -25,7 +28,7 @@ from urllib.parse import urlsplit
 
 import pytest
 
-from repro.api import canonical_json
+import wire_transcript
 from repro.service import (
     AnalysisService,
     ClusterCoordinator,
@@ -36,11 +39,11 @@ from repro.service import (
     ServiceError,
 )
 from repro.service.gateway import (
-    GatewayConfig,
     TenantQuota,
     coalesce_key,
     load_tenant_quotas,
 )
+from repro.service.routes import COORDINATOR_ROUTES
 from repro.datasets.sanctuary import generate_sanctuary
 from repro.datasets.snippets import generate_qa_corpus
 from repro.pipeline.collection import SnippetCollector
@@ -60,8 +63,7 @@ def corpora():
 
 
 def make_config(tmp_path, name="svc", **overrides):
-    defaults = dict(data_dir=str(tmp_path / name), port=0, backend="serial",
-                    frontend="asyncio")
+    defaults = dict(data_dir=str(tmp_path / name), port=0, backend="serial")
     defaults.update(overrides)
     return ServiceConfig(**defaults)
 
@@ -330,77 +332,130 @@ class TestJobsPagination:
 
 
 # ---------------------------------------------------------------------------
-# byte parity with the threaded front end
+# the wire protocol: golden transcripts, error mapping, access log
 # ---------------------------------------------------------------------------
 
-class TestGatewayParity:
-    #: requests whose response bodies must be byte-identical across
-    #: front ends regardless of daemon state
-    ERROR_MATRIX = [
-        ("POST", "/v1/jobs", b"not json"),
-        ("POST", "/v1/jobs", b"[1, 2]"),
-        ("POST", "/v1/jobs", b'{"sources": [], "analyses": ["ccd"]}'),
-        ("POST", "/v1/jobs",
-         b'{"sources": [["a", "x"]], "analyses": ["nope"]}'),
-        ("POST", "/v1/jobs",
-         b'{"sources": [["a", "x"]], "analyses": ["ccd"], '
-         b'"priority": "urgent"}'),
-        ("GET", "/v1/nope", None),
-        ("POST", "/v1/nope", b"{}"),
-        ("GET", "/v1/jobs/not-a-number", None),
-        ("GET", "/v1/jobs/999", None),
-        ("GET", "/v1/jobs?limit=x", None),
-        ("GET", "/v1/jobs?state=nope", None),
-    ]
+@pytest.fixture
+def lone_coordinator(tmp_path):
+    """A coordinator whose only worker never comes up."""
+    config = CoordinatorConfig(
+        data_dir=str(tmp_path / "coordinator"), port=0,
+        workers=(wire_transcript.free_port_url(),), connect_timeout=0.1)
+    with ClusterCoordinator(config) as coordinator:
+        yield coordinator
 
-    @pytest.fixture
-    def frontends(self, tmp_path):
-        threaded = AnalysisService(
-            make_config(tmp_path, "threaded", frontend="threaded"))
-        asyncio_svc = AnalysisService(make_config(tmp_path, "asyncio"))
-        with threaded, asyncio_svc:
-            yield threaded, asyncio_svc
 
-    def test_error_bodies_byte_identical(self, frontends):
-        threaded, asyncio_svc = frontends
-        for method, path, body in self.ERROR_MATRIX:
-            expected = http_exchange(threaded.url, method, path, body)
-            actual = http_exchange(asyncio_svc.url, method, path, body)
-            assert actual[0] == expected[0], (method, path)
-            assert actual[2] == expected[2], (method, path)
+class TestWireTranscripts:
+    @pytest.mark.parametrize("role", sorted(wire_transcript.SCENARIOS))
+    def test_transcript_replays_byte_identically(self, role, tmp_path):
+        expected = wire_transcript.load()[role]
+        actual = wire_transcript.SCENARIOS[role](tmp_path)
+        assert [entry["request"] for entry in actual] == \
+            [entry["request"] for entry in expected]
+        for got, want in zip(actual, expected):
+            assert got == want, want["request"]
 
-    def test_submission_and_results_byte_identical(self, frontends, corpora):
-        contracts, snippets = corpora
-        sample = snippets[:4]
-        bodies = {}
-        for service in frontends:
-            client = ServiceClient(service.url)
-            client.ingest(contracts)
-            job = client.submit(sample, analyses=["ccd", "ccc"])
-            finished = client.wait(job["id"])
-            bodies[service.config.frontend] = [
-                canonical_json(envelope) for envelope in finished["results"]]
-        assert bodies["threaded"] == bodies["asyncio"]
-        assert len(bodies["asyncio"]) == 2 * len(sample)
+    def test_error_matrix_is_part_of_both_transcripts(self):
+        for exchanges in wire_transcript.load().values():
+            requests = {entry["request"] for entry in exchanges}
+            for method, path, _body in wire_transcript.ERROR_MATRIX:
+                assert f"{method} {path}" in requests
 
-    def test_stream_bytes_identical_including_chunk_framing(
-            self, frontends, corpora):
-        _, snippets = corpora
-        raw = {}
-        for service in frontends:
-            client = ServiceClient(service.url)
-            job = client.submit(snippets[:3], analyses=["ccd"])
-            client.wait(job["id"])
-            request = (f"GET /v1/jobs/{job['id']}/stream HTTP/1.1\r\n"
-                       f"Host: x\r\nConnection: close\r\n\r\n").encode("ascii")
-            head, body = raw_exchange(service.url, request)
-            assert b"200" in head.split(b"\r\n")[0]
-            assert b"Transfer-Encoding: chunked" in head
-            raw[service.config.frontend] = body
-        # the full chunked payload — framing included — is identical
-        assert raw["threaded"] == raw["asyncio"]
-        assert raw["asyncio"].endswith(b"0\r\n\r\n")
+    def test_mask_hides_clock_values_and_ports(self):
+        text = ('{"submitted": 1.5, "started": null, '
+                '"created_at": "2026-01-01T00:00:00Z", '
+                '"url": "http://127.0.0.1:4242", "eta": 3e-05}')
+        assert wire_transcript.mask(text) == (
+            '{"submitted": "<masked>", "started": null, '
+            '"created_at": "<masked>", '
+            '"url": "http://127.0.0.1:<port>", "eta": "<masked>"}')
 
+
+def boom(*args, **kwargs):
+    raise RuntimeError("boom")
+
+
+class TestErrorMapping:
+    def test_worker_unexpected_error_is_json_500(self, service, monkeypatch):
+        monkeypatch.setattr(service, "stats", boom)
+        status, headers, body = http_exchange(service.url, "GET", "/v1/stats")
+        assert status == 500
+        assert headers["Content-Type"] == "application/json"
+        assert json.loads(body) == {"error": "internal error: RuntimeError: boom"}
+        # the daemon keeps serving
+        assert http_exchange(service.url, "GET", "/v1/healthz")[0] == 200
+
+    def test_coordinator_unexpected_error_is_json_500(self, lone_coordinator,
+                                                      monkeypatch):
+        monkeypatch.setattr(lone_coordinator, "corpus", boom)
+        status, _, body = http_exchange(lone_coordinator.url, "GET",
+                                        "/v1/corpus")
+        assert status == 500
+        assert json.loads(body) == {"error": "internal error: RuntimeError: boom"}
+        assert http_exchange(lone_coordinator.url, "GET", "/v1/jobs")[0] == 200
+
+    def test_service_error_is_502_on_every_coordinator_post_route(
+            self, lone_coordinator, monkeypatch):
+        coordinator = lone_coordinator
+
+        def unreachable(*args, **kwargs):
+            raise ServiceError(503, "worker draining")
+
+        with coordinator._work_lock.write():  # keep the fan-out idle
+            job = coordinator.submit([("a", "x = 1")], ["ccd"])
+            workload = coordinator.submit_workload(
+                {"kind": "parameter_sweep",
+                 "params": wire_transcript.SWEEP_PARAMS})
+            for operation in ("submit", "ingest", "rebalance",
+                              "submit_workload", "resume_workload",
+                              "cancel_job", "register_query_spec"):
+                monkeypatch.setattr(coordinator, operation, unreachable)
+            posts = [pattern for method, pattern in COORDINATOR_ROUTES.endpoints
+                     if method == "POST"]
+            assert len(posts) == 7
+            for pattern in posts:
+                target = workload if "workloads" in pattern else job
+                path = pattern.replace("{id}", str(target.job_id))
+                status, _, body = http_exchange(
+                    coordinator.url, "POST", path, b"{}")
+                assert status == 502, path
+                assert json.loads(body)["error"] == \
+                    "shard unreachable: HTTP 503: worker draining"
+
+
+class TestAccessLog:
+    @staticmethod
+    def log_lines(capfd) -> list:
+        return [line for line in capfd.readouterr().err.splitlines()
+                if '"GET /' in line or '"POST /' in line]
+
+    def test_worker_logs_one_line_per_request(self, tmp_path, capfd):
+        with AnalysisService(make_config(tmp_path, log_requests=True)) as svc:
+            http_exchange(svc.url, "GET", "/v1/healthz")
+            http_exchange(svc.url, "POST", "/v1/nope", b"{}")
+        lines = self.log_lines(capfd)
+        assert len(lines) == 2
+        assert '"GET /v1/healthz HTTP/1.1" 200' in lines[0]
+        assert '"POST /v1/nope HTTP/1.1" 404' in lines[1]
+
+    def test_coordinator_logs_one_line_per_request(self, tmp_path, capfd):
+        config = CoordinatorConfig(
+            data_dir=str(tmp_path / "coordinator"), port=0,
+            workers=(wire_transcript.free_port_url(),), log_requests=True)
+        with ClusterCoordinator(config) as coordinator:
+            http_exchange(coordinator.url, "GET", "/v1/jobs?limit=1")
+            http_exchange(coordinator.url, "POST", "/v1/jobs/x/cancel", b"{}")
+        lines = self.log_lines(capfd)
+        assert len(lines) == 2
+        assert '"GET /v1/jobs?limit=1 HTTP/1.1" 200' in lines[0]
+        assert '"POST /v1/jobs/x/cancel HTTP/1.1" 404' in lines[1]
+
+    def test_quiet_by_default(self, service, capfd):
+        http_exchange(service.url, "GET", "/v1/healthz")
+        assert self.log_lines(capfd) == []
+
+
+class TestTransport:
     def test_gateway_streams_jobs_before_they_finish(self, service, client,
                                                      corpora):
         _, snippets = corpora
@@ -415,7 +470,6 @@ class TestGatewayParity:
         client.jobs()
         stats = client.stats()
         gateway = stats["gateway"]
-        assert gateway["frontend"] == "asyncio"
         assert gateway["requests"] >= 4
         assert gateway["connections_opened"] == 1
 
@@ -666,14 +720,13 @@ class TestCoordinatorGateway:
         try:
             for index in range(2):
                 worker = AnalysisService(make_config(
-                    tmp_path, f"worker-{index}", frontend="threaded"))
+                    tmp_path, f"worker-{index}"))
                 worker.start()
                 workers.append(worker)
             coordinator = ClusterCoordinator(CoordinatorConfig(
                 data_dir=str(tmp_path / "coordinator"), port=0,
                 workers=tuple(worker.url for worker in workers),
-                connect_timeout=5.0, shard_timeout=60.0,
-                frontend="asyncio"))
+                connect_timeout=5.0, shard_timeout=60.0))
             coordinator.start()
             yield coordinator, workers
         finally:

@@ -8,18 +8,17 @@ Four contracts are enforced, all both ways:
 * every CLI command path (``repro analyze``, ``repro cache stats``, …)
   derived from the real argument parser appears in the marked *cli*
   block, and the block documents no removed commands,
-* every HTTP route of the analysis service daemon
-  (``repro.service.server.ROUTES``) appears in the marked *endpoints*
-  block of ``docs/service.md``, and the block documents no removed
-  endpoints,
-* every HTTP route of the cluster coordinator
-  (``repro.service.coordinator.ROUTES``) appears in the marked
-  *coordinator-endpoints* block of the same file, likewise both ways,
-* every HTTP route of the asyncio gateway
-  (``repro.service.gateway.ROUTES``) appears in the marked
-  *gateway-endpoints* block of the same file, likewise both ways —
-  which also catches a server route added without gateway coverage,
-  since the gateway declares its surface as the server's route set.
+* every route of the worker daemon's route table
+  (``repro.service.routes.WORKER_ROUTES``) appears in the marked
+  *endpoints* block of ``docs/service.md`` or its *workload-endpoints*
+  block, and the blocks document no removed endpoints,
+* every route of the cluster coordinator's route table
+  (``repro.service.routes.COORDINATOR_ROUTES``) appears in the marked
+  *coordinator-endpoints* or *workload-endpoints* block, likewise both
+  ways.
+
+The *workload-endpoints* block lists the workload-engine routes both
+roles serve, so each of them must be in both tables.
 
 Exits non-zero listing each mismatch, so an API change that forgets the
 docs — or docs that promise an API that does not exist — fails the docs
@@ -83,32 +82,13 @@ def documented_endpoints(text: str, path: Path,
             if ENDPOINT_RE.match(span)}
 
 
-def actual_endpoints() -> set[str]:
-    """Every HTTP route the analysis service daemon actually serves."""
-    from repro.service.server import ROUTES
+def actual_endpoints(role: str) -> set[str]:
+    """Every HTTP route in one role's route table (worker or coordinator)."""
+    from repro.service import routes
 
-    return {f"{method} {route}" for method, route in ROUTES}
-
-
-def actual_coordinator_endpoints() -> set[str]:
-    """Every HTTP route the cluster coordinator actually serves."""
-    from repro.service.coordinator import ROUTES
-
-    return {f"{method} {route}" for method, route in ROUTES}
-
-
-def actual_gateway_endpoints() -> set[str]:
-    """Every HTTP route the asyncio gateway front end actually serves."""
-    from repro.service.gateway import ROUTES
-
-    return {f"{method} {route}" for method, route in ROUTES}
-
-
-def actual_workload_endpoints() -> set[str]:
-    """The workload/cancel/query routes shared by every front end."""
-    from repro.service.workloads import ROUTES
-
-    return {f"{method} {route}" for method, route in ROUTES}
+    table = {"worker": routes.WORKER_ROUTES,
+             "coordinator": routes.COORDINATOR_ROUTES}[role]
+    return {f"{method} {route}" for method, route in table.endpoints}
 
 
 def actual_surface() -> set[str]:
@@ -159,31 +139,29 @@ def main(argv: list[str]) -> int:
     problems += check("CLI command", documented_commands(text, path), actual_commands())
     service_path = root / "docs" / "service.md"
     service_text = service_path.read_text(encoding="utf-8")
-    # the workload block documents the routes every front end shares, so
-    # the per-front blocks only carry their front-specific endpoints
+    # the workload block documents the routes both roles share, so the
+    # per-role blocks only carry their role-specific endpoints
     workload_documented = documented_endpoints(service_text, service_path,
                                                "workload-endpoints")
+    worker, coordinator = (actual_endpoints("worker"),
+                           actual_endpoints("coordinator"))
     problems += check("workload endpoint", workload_documented,
-                      actual_workload_endpoints(), where="docs/service.md")
+                      workload_documented & worker & coordinator,
+                      where="docs/service.md")
     problems += check("service endpoint",
                       documented_endpoints(service_text, service_path)
                       | workload_documented,
-                      actual_endpoints(), where="docs/service.md")
+                      worker, where="docs/service.md")
     problems += check("coordinator endpoint",
                       documented_endpoints(service_text, service_path,
                                            "coordinator-endpoints")
                       | workload_documented,
-                      actual_coordinator_endpoints(), where="docs/service.md")
-    problems += check("gateway endpoint",
-                      documented_endpoints(service_text, service_path,
-                                           "gateway-endpoints")
-                      | workload_documented,
-                      actual_gateway_endpoints(), where="docs/service.md")
+                      coordinator, where="docs/service.md")
     for problem in problems:
         print(problem, file=sys.stderr)
     print(f"checked {len(actual_surface())} public names, "
           f"{len(actual_commands())} CLI commands, and "
-          f"{len(actual_endpoints()) + len(actual_coordinator_endpoints()) + len(actual_gateway_endpoints())} "
+          f"{len(worker) + len(coordinator)} "
           f"service endpoints against the docs: "
           f"{len(problems)} mismatch(es)")
     return 1 if problems else 0

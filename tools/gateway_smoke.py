@@ -1,20 +1,20 @@
 #!/usr/bin/env python3
-"""End-to-end smoke of the asyncio gateway front end (used by CI).
+"""End-to-end smoke of the asyncio transport (used by CI).
 
-Exercises the *real* deployment shape — ``repro serve --frontend
-asyncio`` subprocesses on free loopback ports — rather than in-process
-servers:
+Exercises the *real* deployment shape — ``repro serve`` subprocesses on
+free loopback ports — rather than in-process servers:
 
-1. start one threaded and one asyncio daemon over the same synthetic
-   corpus and assert **wire parity**: identical job results (canonical
-   envelope bytes) and identical error bodies across an error matrix,
-2. assert the gateway block of ``/v1/stats`` reports the asyncio
-   front end with live keep-alive counters,
-3. restart the asyncio daemon with a tiny ``--max-pending-jobs`` bound
-   and drive a ``tools/loadgen.py`` burst into it: every request must
-   be *answered* (202 accepted or 429/503 shed with ``Retry-After``) —
+1. replay the shared part of the golden worker transcript
+   (``tests/wire_transcript.py``) against a fresh daemon and assert
+   every answer is **byte-identical** to the recording: status,
+   ``Content-Type``, body, and stream chunk framing,
+2. assert the gateway block of ``/v1/stats`` reports live keep-alive
+   counters,
+3. restart the daemon with a tiny ``--max-pending-jobs`` bound and
+   drive a ``tools/loadgen.py`` burst into it: every request must be
+   *answered* (202 accepted or 429/503 shed with ``Retry-After``) —
    shed load, never hang,
-4. SIGTERM both daemons and assert clean exits (code 0).
+4. SIGTERM each daemon and assert clean exits (code 0).
 
 Exits non-zero with a diagnostic on the first failed step.
 
@@ -25,7 +25,6 @@ Usage::
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import signal
@@ -33,18 +32,6 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from urllib.parse import urlsplit
-
-#: requests whose response bodies must be byte-identical across front ends
-ERROR_MATRIX = [
-    ("POST", "/v1/jobs", b"not json"),
-    ("POST", "/v1/jobs", b"[1, 2]"),
-    ("GET", "/v1/nope", None),
-    ("GET", "/v1/jobs/not-a-number", None),
-    ("GET", "/v1/jobs/999", None),
-    ("GET", "/v1/jobs?limit=x", None),
-    ("GET", "/v1/jobs?state=nope", None),
-]
 
 
 def start_daemon(root: Path, data_dir: str, *extra_args: str) -> tuple:
@@ -76,88 +63,42 @@ def stop_daemon(process: subprocess.Popen) -> None:
     print("daemon shut down cleanly")
 
 
-def http_exchange(url: str, method: str, path: str, body=None) -> tuple:
-    """One raw request; returns ``(status, body_bytes)``."""
-    parts = urlsplit(url)
-    connection = http.client.HTTPConnection(
-        parts.hostname, parts.port, timeout=30)
-    try:
-        connection.request(method, path, body=body,
-                           headers={"Content-Type": "application/json"})
-        response = connection.getresponse()
-        return response.status, response.read()
-    finally:
-        connection.close()
-
-
-def run_job(url: str, contracts, snippets):
-    """Ingest + one ccd/ccc job; returns the canonical envelope bytes."""
-    from repro.api import canonical_json
-    from repro.service import ServiceClient
-
-    client = ServiceClient(url)
-    client.wait_ready()
-    summary = client.ingest(contracts)
-    assert summary["ingested"] > 0, summary
-    job = client.submit(snippets, analyses=["ccd", "ccc"])
-    finished = client.wait(job["id"], timeout=120.0)
-    assert finished["job"]["state"] == "done", finished["job"]
-    return [canonical_json(envelope) for envelope in finished["results"]]
-
-
 def main(argv: list[str]) -> int:
     """Run the smoke sequence; returns a process exit code."""
     root = Path(argv[1]).resolve() if len(argv) > 1 else Path.cwd()
     sys.path.insert(0, str(root / "src"))
     sys.path.insert(0, str(root / "tools"))
+    sys.path.insert(0, str(root / "tests"))
     import loadgen
-    from repro.datasets.sanctuary import generate_sanctuary
-    from repro.datasets.snippets import generate_qa_corpus
+    import wire_transcript
     from repro.service import ServiceClient
 
-    qa_corpus = generate_qa_corpus(
-        seed=3, posts_per_site={"stackoverflow": 4, "ethereum.stackexchange": 8})
-    sanctuary = generate_sanctuary(qa_corpus, seed=11, independent_contracts=4)
-    contracts = [[contract.address, contract.source]
-                 for contract in sanctuary.contracts]
-    snippets = [[snippet.snippet_id, snippet.text]
-                for post in qa_corpus.posts for snippet in post.snippets][:6]
-
     with tempfile.TemporaryDirectory() as tmp:
-        # -- step 1+2: threaded vs asyncio wire parity --------------------
-        threaded, threaded_url = start_daemon(
-            root, str(Path(tmp) / "threaded"), "--frontend", "threaded")
-        gateway, gateway_url = start_daemon(
-            root, str(Path(tmp) / "asyncio"), "--frontend", "asyncio")
+        # -- step 1+2: golden transcript replay ---------------------------
+        daemon, url = start_daemon(root, str(Path(tmp) / "replay"))
         try:
-            results = {url: run_job(url, contracts, snippets)
-                       for url in (threaded_url, gateway_url)}
-            if results[threaded_url] != results[gateway_url]:
-                raise SystemExit("job results diverge between front ends")
-            print(f"parity: {len(results[gateway_url])} canonical envelopes "
-                  f"byte-identical across front ends")
-
-            for method, path, body in ERROR_MATRIX:
-                expected = http_exchange(threaded_url, method, path, body)
-                actual = http_exchange(gateway_url, method, path, body)
-                if actual != expected:
+            ServiceClient(url).wait_ready()
+            actual: list = []
+            wire_transcript.shared_requests(
+                wire_transcript.Recorder(actual, url), url)
+            expected = wire_transcript.load()["worker"][:len(actual)]
+            for got, want in zip(actual, expected):
+                if got != want:
                     raise SystemExit(
-                        f"error parity broke on {method} {path}: "
-                        f"threaded {expected} vs asyncio {actual}")
-            print(f"parity: {len(ERROR_MATRIX)} error bodies byte-identical")
-
-            stats = ServiceClient(gateway_url).stats()["gateway"]
-            assert stats["frontend"] == "asyncio", stats
+                        f"transcript diverged on {want['request']}: "
+                        f"recorded {want} vs served {got}")
+            print(f"transcript: {len(actual)} exchanges byte-identical "
+                  f"to the recording")
+            stats = ServiceClient(url).stats()["gateway"]
             assert stats["requests"] > 0, stats
             print(f"gateway stats: {stats['requests']} requests over "
                   f"{stats['connections_opened']} connection(s)")
         finally:
-            stop_daemon(gateway)
-            stop_daemon(threaded)
+            stop_daemon(daemon)
 
         # -- step 3: shed under a deliberate burst ------------------------
         gateway, gateway_url = start_daemon(
-            root, str(Path(tmp) / "burst"), "--frontend", "asyncio",
+            root, str(Path(tmp) / "burst"),
             "--max-pending-jobs", "8", "--workers", "1")
         try:
             result = loadgen.run_load(

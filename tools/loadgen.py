@@ -1,8 +1,8 @@
 """Stdlib load generator for the analysis service daemon.
 
-Drives ``POST /v1/jobs`` against a running daemon (threaded or asyncio
-front end) from N concurrent clients, each on its own keep-alive
-connection, and reports what admission control did to them:
+Drives ``POST /v1/jobs`` against a running daemon from N concurrent
+clients, each on its own keep-alive connection, and reports what
+admission control did to them:
 
 * **closed loop** (default): every client fires its next request the
   moment the previous response lands — the classic saturation probe.

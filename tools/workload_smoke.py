@@ -134,7 +134,9 @@ def main(argv: list[str]) -> int:
             total = progress["total"]
             if 2 <= progress["done"] < total:
                 break
-            if progress["done"] >= total:
+            # total is 0 until the scheduler has decomposed the sweep
+            if total and progress["done"] >= total:
+                process.kill()
                 raise SystemExit(
                     "sweep finished before the kill; enlarge SWEEP_PARAMS")
             time.sleep(0.02)
