@@ -44,7 +44,7 @@ _SESSION_MODES: dict[str, dict] = {}
 
 #: backend name -> {"wall": s, "stats": MatchStats} rows of the staged
 #: clone-matcher comparison (bench_fig5), reported with pruning counters
-#: and the exact-vs-bounded verification speedup below
+#: and the exact-vs-myers verification speedup below
 _MATCHER_BACKENDS: dict[str, dict] = {}
 
 #: mode -> {"jobs_per_sec", "p50", "p95", "p99", "jobs", ...} rows of the
@@ -201,25 +201,17 @@ def pytest_terminal_summary(terminalreporter):
                 f"          dropped: {stats.pruned_by_length} by length bucket, "
                 f"{stats.abandoned_by_mean} by mean bound, "
                 f"{stats.pairs_skipped_by_bound} pairs by length bound, "
-                f"{stats.pairs_cutoff} pairs by band cutoff "
+                f"{stats.pairs_cutoff} pairs by distance cutoff "
                 f"({stats.memo_hits} memo hits)")
-        if {"exact", "bounded"} <= set(_MATCHER_BACKENDS):
+        if {"exact", "myers"} <= set(_MATCHER_BACKENDS):
             exact = _MATCHER_BACKENDS["exact"]["stats"]
-            bounded = _MATCHER_BACKENDS["bounded"]["stats"]
-            speedup = exact.verify_seconds / max(bounded.verify_seconds, 1e-9)
-            terminalreporter.write_line(
-                f"   delta: bounded verification {speedup:.1f}x faster "
-                f"({exact.verify_seconds:.3f}s -> {bounded.verify_seconds:.3f}s) "
-                f"with byte-identical matches")
-        if {"bounded", "myers"} <= set(_MATCHER_BACKENDS):
-            bounded = _MATCHER_BACKENDS["bounded"]["stats"]
             myers = _MATCHER_BACKENDS["myers"]["stats"]
-            speedup = bounded.verify_seconds / max(myers.verify_seconds, 1e-9)
+            speedup = exact.verify_seconds / max(myers.verify_seconds, 1e-9)
             terminalreporter.write_line(
-                f"   delta: myers verification {speedup:.1f}x faster than "
-                f"bounded ({bounded.verify_seconds:.3f}s -> "
-                f"{myers.verify_seconds:.3f}s), "
-                f"{myers.myers_words} bit-parallel words")
+                f"   delta: myers verification {speedup:.1f}x faster "
+                f"({exact.verify_seconds:.3f}s -> {myers.verify_seconds:.3f}s), "
+                f"{myers.myers_words} bit-parallel words, "
+                f"byte-identical matches")
         _write_bench_artifact(terminalreporter, "BENCH_fig5.json", _fig5_artifact())
     if _SERVICE_LATENCIES:
         terminalreporter.section("service daemon: serving modes")

@@ -1,6 +1,6 @@
 """The built-in analyzers: CCD, CCC, validation, temporal, correlation.
 
-Each legacy workload is re-registered here as an
+Each workload is registered here as an
 :class:`~repro.api.registry.Analyzer` so it runs through the uniform
 :class:`~repro.api.session.AnalysisSession` entry points.  The heavy
 lifting still lives in the original modules — these classes only adapt
@@ -8,8 +8,8 @@ the uniform :class:`~repro.api.envelope.AnalysisRequest` to each layer's
 single-item API, reusing the existing picklable process-backend task
 machinery (:func:`repro.ccd.detector._fingerprint_task`,
 :func:`repro.ccc.checker._analyze_task`,
-:func:`repro.pipeline.validation._validate_task`) so every backend
-produces results identical to the legacy batch entry points.
+:func:`repro.pipeline.validation._validate_task`) so every executor
+backend produces results identical to the serial single-item calls.
 """
 
 from __future__ import annotations
@@ -70,8 +70,7 @@ class CloneDetectionAnalyzer(Analyzer):
     """Find Type I-III clones of every corpus item (Figure 4 of the paper).
 
     Options: ``detector`` matches items against an existing
-    :class:`~repro.ccd.detector.CloneDetector` index (the legacy
-    ``find_clones_many`` shape); without it the corpus itself is indexed
+    :class:`~repro.ccd.detector.CloneDetector` index; without it the corpus itself is indexed
     during :meth:`prepare` and each item is matched pairwise against the
     rest (the honeypot protocol of Section 5.7.1).
     ``similarity_threshold`` / ``ngram_threshold`` override the
@@ -232,8 +231,7 @@ class VulnerabilityAnalyzer(Analyzer):
     """Run the 17 DASP vulnerability queries against every corpus item.
 
     Options: ``checker`` adopts an existing
-    :class:`~repro.ccc.checker.ContractChecker` (the legacy
-    ``analyze_many`` shape); ``snippet``, ``categories``, ``query_ids``,
+    :class:`~repro.ccc.checker.ContractChecker`; ``snippet``, ``categories``, ``query_ids``,
     ``timeout``, and ``max_flow_depth`` mirror
     :meth:`~repro.ccc.checker.ContractChecker.analyze`.  A per-request
     ``query_ids`` entry in :attr:`AnalysisRequest.options` overrides the

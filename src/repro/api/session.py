@@ -24,12 +24,13 @@ million-contract corpora tractable.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.api.envelope import AnalysisRequest, AnalysisResult
 from repro.api.registry import REGISTRY, Analyzer, AnalyzerRegistry, get_analyzer
+from repro.ccd.matcher import DEFAULT_SIMILARITY_BACKEND
 from repro.core.artifacts import ArtifactStore
 from repro.core.executor import Executor
 from repro.core.persistence import DiskArtifactStore
@@ -62,10 +63,10 @@ class SessionConfig:
     fingerprint_window: int = 4
     ngram_threshold: float = 0.5
     similarity_threshold: float = 0.7
-    #: CCD verification backend: ``"bounded"`` (pruned, byte-identical
-    #: results), ``"myers"`` (same pruning, bit-parallel distance
-    #: kernel), or ``"exact"`` (the naive reference)
-    similarity_backend: str = "bounded"
+    #: CCD verification backend: ``"myers"`` (pruned over a bit-parallel
+    #: distance kernel, byte-identical results) or ``"exact"`` (the
+    #: naive reference)
+    similarity_backend: str = DEFAULT_SIMILARITY_BACKEND
     #: SQLite file of the corpus-global (sub₁, sub₂) score memo; ``None``
     #: keeps pair scores in memory only (still shared across the
     #: session's queries, but cold after a restart)
@@ -77,10 +78,6 @@ class SessionConfig:
     reduced_flow_depths: tuple = (24, 12, 6)
     #: in-flight chunk window of :meth:`AnalysisSession.run_iter`
     stream_window: int = 4
-
-    def as_dict(self) -> dict:
-        """JSON-serializable form (for manifests and reports)."""
-        return asdict(self)
 
     def build_store(self) -> ArtifactStore:
         """The artifact store this configuration describes."""
@@ -153,7 +150,7 @@ class AnalysisSession:
     store / executor:
         Pre-built components to adopt instead of building them from the
         configuration — the session then does *not* own them and will not
-        close them.  This is how the legacy shims and the study wrap
+        close them.  This is how the study and the evaluation suites wrap
         their existing wiring in a session.
     registry:
         The analyzer registry to resolve ids against; the process-wide

@@ -93,9 +93,6 @@ class SmartEmbedBaseline:
     def add_corpus(self, documents) -> int:
         return sum(1 for document_id, source in documents if self.add_document(document_id, source))
 
-    def __len__(self) -> int:
-        return len(self.embeddings)
-
     # -- similarity ------------------------------------------------------------------
     @staticmethod
     def cosine(first: Counter, second: Counter) -> float:

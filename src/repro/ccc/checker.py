@@ -3,22 +3,21 @@
 The checker optionally plugs into the shared analysis core
 (:mod:`repro.core`): with an :class:`~repro.core.artifacts.ArtifactStore`
 attached, the CPG of each unique source is built (and the source parsed)
-at most once per process and shared with CCD and the pipeline;
-:meth:`ContractChecker.analyze_many` fans a batch of sources out over an
+at most once per process and shared with CCD and the pipeline.  Batch
+analysis runs through the ``ccc`` analyzer of
+:class:`repro.api.AnalysisSession`, which fans sources out over an
 :class:`~repro.core.executor.Executor` (serial, thread, or process).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from repro.ccc.dasp import DaspCategory
 from repro.ccc.finding import Finding
-from repro.ccc.registry import all_queries, queries_for_categories, query_by_id
+from repro.ccc.registry import queries_for_categories, query_by_id
 from repro.core.artifacts import ArtifactStore, ArtifactStoreSpec, process_local_store
-from repro.core.executor import Executor
 from repro.cpg.builder import build_cpg
 from repro.cpg.graph import CPGGraph
 from repro.query import QueryContext, QueryTimeout
@@ -151,55 +150,6 @@ class ContractChecker:
                 result.findings.append(finding)
         result.elapsed_seconds = ctx.elapsed
         return result
-
-    def analyze_many(
-        self,
-        sources: Sequence[str],
-        *,
-        executor: Optional[Executor] = None,
-        snippet: bool = True,
-        categories: Optional[Iterable[DaspCategory]] = None,
-        query_ids: Optional[Sequence[str]] = None,
-        timeout: Optional[float] = None,
-        max_flow_depth: Optional[int] = None,
-    ) -> list[AnalysisResult]:
-        """Analyse a batch of sources, optionally fanning out over workers.
-
-        .. deprecated::
-            Use :meth:`repro.api.AnalysisSession.run` (or
-            ``run_iter`` for streaming) with ``analyses=["ccc"]``
-            instead; this shim delegates to a session wrapping this
-            checker and unwraps the envelopes back to the legacy
-            :class:`AnalysisResult` list, in input order.
-        """
-        warnings.warn(
-            "ContractChecker.analyze_many is deprecated; run the 'ccc' "
-            "analyzer through repro.api.AnalysisSession instead",
-            DeprecationWarning, stacklevel=2)
-        from repro.api import AnalysisSession
-
-        session = AnalysisSession(store=self.store, executor=executor)
-        try:
-            envelopes = session.run(list(sources), analyses=["ccc"], options={"ccc": {
-                "checker": self,
-                "snippet": snippet,
-                "categories": categories,
-                "query_ids": query_ids,
-                "timeout": timeout,
-                "max_flow_depth": max_flow_depth,
-            }})
-        finally:
-            session.close()
-        return [envelope.payload for envelope in envelopes]
-
-    # -- convenience ---------------------------------------------------------------
-    def is_vulnerable(self, source: str, **kwargs) -> bool:
-        """``True`` when at least one query reports a finding for ``source``."""
-        return bool(self.analyze(source, **kwargs).findings)
-
-    @staticmethod
-    def available_queries() -> list[str]:
-        return [query.query_id for query in all_queries()]
 
 
 @dataclass(frozen=True)

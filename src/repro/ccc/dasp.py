@@ -22,19 +22,3 @@ class DaspCategory(enum.Enum):
     TIME_MANIPULATION = "Time Manipulation"
     UNCHECKED_LOW_LEVEL_CALLS = "Unchecked Low Level Calls"
     UNKNOWN_UNKNOWNS = "Unknown Unknowns"
-
-    @classmethod
-    def from_label(cls, label: str) -> "DaspCategory":
-        """Look up a category from a human-readable label (case-insensitive)."""
-        normalized = label.strip().lower().replace("_", " ").replace("-", " ")
-        for category in cls:
-            if category.value.lower() == normalized or category.name.lower().replace("_", " ") == normalized:
-                return category
-        raise ValueError(f"unknown DASP category: {label!r}")
-
-
-#: The nine categories used in the SmartBugs comparison (Table 1 excludes
-#: "Unknown Unknowns" / the "Other" test set, Section 4.6.1).
-EVALUATED_CATEGORIES = tuple(
-    category for category in DaspCategory if category is not DaspCategory.UNKNOWN_UNKNOWNS
-)

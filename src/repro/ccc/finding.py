@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.ccc.dasp import DaspCategory
 
@@ -42,14 +41,3 @@ class Finding:
         """``contract.function:line`` style location string."""
         scope = ".".join(part for part in (self.contract_name, self.function_name) if part)
         return f"{scope}:{self.line}" if scope else f"line {self.line}"
-
-
-@dataclass
-class QueryStatistics:
-    """Execution statistics for one query run (used by benchmarks)."""
-
-    query_id: str
-    findings: int = 0
-    elapsed_seconds: float = 0.0
-    timed_out: bool = False
-    error: Optional[str] = None

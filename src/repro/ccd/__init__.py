@@ -15,10 +15,10 @@ of smart contracts (Section 5 of the paper).  The pipeline is
    N-gram candidate pre-filter walked in ascending document-frequency
    order, then verification of each candidate with the order-independent
    edit-distance similarity score (Section 5.5, Algorithm 1) under a
-   pluggable :class:`~repro.ccd.matcher.SimilarityBackend` (``"bounded"``
-   by default; ``"myers"`` is the same pruning over Myers' bit-parallel
-   distance kernel; ``"exact"`` is the naive reference — all three report
-   identical results).  Pair scores are memoized corpus-wide in a
+   pluggable :class:`~repro.ccd.matcher.SimilarityBackend` (``"myers"``
+   by default — pruned, over Myers' bit-parallel distance kernel;
+   ``"exact"`` is the naive reference — both report identical results).
+   Pair scores are memoized corpus-wide in a
    :class:`~repro.ccd.score_memo.ScoreMemoTable`, optionally persisted
    next to a saved index so reloaded corpora start warm.
 """
@@ -39,10 +39,8 @@ from repro.ccd.ngram_index import NGramIndex
 from repro.ccd.normalizer import NormalizedContract, NormalizedFunction, NormalizedUnit, Normalizer
 from repro.ccd.score_memo import SCORE_MEMO_NAME, ScoreMemoTable
 from repro.ccd.similarity import (
-    bounded_edit_distance,
     edit_distance,
     myers_bounded_edit_distance,
-    myers_edit_distance,
     order_independent_similarity,
     sub_fingerprint_similarity,
 )
@@ -65,12 +63,10 @@ __all__ = [
     "SIMILARITY_BACKENDS",
     "ScoreMemoTable",
     "SimilarityBackend",
-    "bounded_edit_distance",
     "edit_distance",
     "fuzzy_hash_tokens",
     "load_index",
     "myers_bounded_edit_distance",
-    "myers_edit_distance",
     "order_independent_similarity",
     "resolve_similarity_backend",
     "save_index",

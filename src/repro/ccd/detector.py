@@ -8,18 +8,18 @@ The detector optionally plugs into the shared analysis core
 (:mod:`repro.core`): when constructed with an
 :class:`~repro.core.artifacts.ArtifactStore`, fingerprints and N-gram sets
 are materialized through the store — each unique source is parsed at most
-once across CCD, CCC, and the pipeline — and the batch entry points
-(:meth:`CloneDetector.add_corpus`, :meth:`CloneDetector.find_clones_many`)
-accept an :class:`~repro.core.executor.Executor` to fan the hot loop out
-across threads or worker processes.
+once across CCD, CCC, and the pipeline — and
+:meth:`CloneDetector.add_corpus` accepts an
+:class:`~repro.core.executor.Executor` to fan fingerprinting out across
+threads or worker processes.  Batch matching runs through the ``ccd``
+analyzer of :class:`repro.api.AnalysisSession`.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from functools import partial
-from typing import Hashable, Iterable, Optional, Sequence, Union
+from typing import Hashable, Iterable, Optional, Union
 
 from repro.ccd.fingerprint import Fingerprint, FingerprintGenerator
 from repro.ccd.matcher import CloneMatch, MatchPipeline, MatchStats, SimilarityBackend
@@ -75,11 +75,11 @@ class CloneDetector:
     valid for one configuration.
 
     ``similarity_backend`` selects the verification strategy of the
-    staged :class:`~repro.ccd.matcher.MatchPipeline`: ``"bounded"``
-    (default — pruned, byte-identical matches), ``"myers"`` (the same
-    pruning with a bit-parallel distance kernel), or ``"exact"`` (the
-    naive reference); a :class:`~repro.ccd.matcher.SimilarityBackend`
-    instance is also accepted.
+    staged :class:`~repro.ccd.matcher.MatchPipeline`: ``"myers"``
+    (default — pruned over a bit-parallel distance kernel,
+    byte-identical matches) or ``"exact"`` (the naive reference); a
+    :class:`~repro.ccd.matcher.SimilarityBackend` instance is also
+    accepted.
 
     ``score_memo`` attaches a corpus-global
     :class:`~repro.ccd.score_memo.ScoreMemoTable` (e.g. one with a
@@ -290,43 +290,6 @@ class CloneDetector:
         epsilon = (self.similarity_threshold if similarity_threshold is None else similarity_threshold) * 100.0
         eta = self.ngram_threshold if ngram_threshold is None else ngram_threshold
         return self.matcher.match(fingerprint, eta, epsilon)
-
-    def find_clones_many(
-        self,
-        queries: Sequence[tuple[Hashable, str]],
-        *,
-        executor: Optional[Executor] = None,
-        similarity_threshold: Optional[float] = None,
-        ngram_threshold: Optional[float] = None,
-    ) -> list[tuple[Hashable, Optional[list[CloneMatch]]]]:
-        """Match many ``(query_id, source)`` pairs against the index.
-
-        .. deprecated::
-            Use :meth:`repro.api.AnalysisSession.run` with
-            ``analyses=["ccd"]`` and ``options={"ccd": {"detector":
-            detector}}`` instead; this shim delegates to a session and
-            unwraps the envelopes back to the legacy ``(query_id,
-            matches)`` shape (``matches`` is ``None`` when the query
-            source is unparsable).
-        """
-        warnings.warn(
-            "CloneDetector.find_clones_many is deprecated; run the 'ccd' "
-            "analyzer through repro.api.AnalysisSession instead",
-            DeprecationWarning, stacklevel=2)
-        from repro.api import AnalysisSession
-
-        queries = list(queries)
-        session = AnalysisSession(store=self.store, executor=executor)
-        try:
-            envelopes = session.run(queries, analyses=["ccd"], options={"ccd": {
-                "detector": self,
-                "similarity_threshold": similarity_threshold,
-                "ngram_threshold": ngram_threshold,
-            }})
-        finally:
-            session.close()
-        return [(query_id, envelope.payload)
-                for (query_id, _), envelope in zip(queries, envelopes)]
 
     # -- persistence ------------------------------------------------------------
     def save_index(self, directory, shards: int = 1) -> dict:

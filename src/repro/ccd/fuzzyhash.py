@@ -59,9 +59,6 @@ class _RollingHash:
             state = (state + (value >> (index % 13))) & _FNV_MASK
         return state
 
-    def reset(self) -> None:
-        self._values.clear()
-
 
 class FuzzyHasher:
     """Compute context-triggered piecewise hashes of token streams.

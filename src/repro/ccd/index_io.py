@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import warnings
 from pathlib import Path
-from typing import Hashable, Iterable, Optional, Union
+from typing import Hashable, Iterable, Union
 
 from repro.ccd.detector import CloneDetector
 from repro.ccd.matcher import SIMILARITY_BACKENDS, resolve_similarity_backend

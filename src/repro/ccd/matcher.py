@@ -10,23 +10,19 @@ Clone matching is two explicitly separated stages:
    sub-fingerprint edit distances, computed by a pluggable
    :class:`SimilarityBackend`.
 
-Three backends ship:
+Two backends ship:
 
 * ``"exact"`` — the naive reference: a full Levenshtein distance for
   every (sub₁, sub₂) pair of every candidate.  This is the seed
   semantics, kept as the parity baseline and for benchmarking.
-* ``"bounded"`` (default) — byte-identical matches and scores, several
-  times faster: a length-difference upper bound skips pairs that cannot
-  beat the current best, the Levenshtein computation is banded/cut off
-  at the distance still worth knowing, a running mean upper bound
-  abandons a candidate once :math:`\\epsilon` is unreachable, and the
-  pipeline's score memo reuses (sub₁, sub₂) scores across candidates
+* ``"myers"`` (default) — byte-identical matches and scores, many times
+  faster: a length-difference upper bound skips pairs that cannot beat
+  the current best, each remaining pair distance is computed by Myers'
+  bit-parallel kernel (:func:`repro.ccd.similarity.myers_bounded_edit_distance`)
+  and cut off at the distance still worth knowing, a running mean upper
+  bound abandons a candidate once :math:`\\epsilon` is unreachable, and
+  the pipeline's score memo reuses (sub₁, sub₂) scores across candidates
   (the same sub-fingerprints repeat heavily within a corpus).
-* ``"myers"`` — all of the bounded backend's pruning, with the pair
-  distance computed by Myers' bit-parallel kernel
-  (:func:`repro.ccd.similarity.myers_bounded_edit_distance`): 64 DP
-  columns advance per machine word per step, several times faster again
-  on the pairs that survive the bounds.
 
 The pair memo is no longer per-query: the pipeline owns a corpus-global
 :class:`repro.ccd.score_memo.ScoreMemoTable`, so each distinct
@@ -35,7 +31,7 @@ across queries, jobs, and (when a disk tier is attached) daemon
 restarts.  δ is a pure function of the two strings, so the sharing is
 invisible to reported matches.
 
-Exactness argument for the bounded backend: a pair score is only ever
+Exactness argument for the myers backend: a pair score is only ever
 *skipped* when a conservative upper bound proves it cannot raise the
 candidate's per-sub best to a value that matters — either it cannot beat
 the current best, or the candidate would be abandoned by the mean bound
@@ -59,14 +55,13 @@ from repro.ccd.fingerprint import Fingerprint
 from repro.ccd.ngram_index import NGramIndex, ngrams
 from repro.ccd.score_memo import ScoreMemoTable
 from repro.ccd.similarity import (
-    bounded_edit_distance,
     myers_bounded_edit_distance,
     myers_word_count,
     sub_fingerprint_similarity,
 )
 
 #: slack applied to every pruning bound: float rounding may only ever
-#: cause the bounded backend to prune *less* than the real bound allows
+#: cause the myers backend to prune *less* than the real bound allows
 _SLACK = 1e-6
 
 
@@ -98,11 +93,12 @@ class MatchStats:
     (candidates dropped once the running mean bound proved
     :math:`\\epsilon` unreachable), ``pairs_scored`` (edit distances
     actually computed), ``pairs_skipped_by_bound`` (pairs skipped via the
-    length-difference upper bound), ``pairs_cutoff`` (banded Levenshtein
-    runs abandoned at the distance limit), ``memo_hits`` /
-    ``memo_misses`` (pair-score lookups answered / not answered by the
-    corpus-global score memo), and ``myers_words`` (64-bit machine words
-    advanced by the bit-parallel kernel — zero for the DP backends).
+    length-difference upper bound), ``pairs_cutoff`` (bit-parallel
+    distance runs abandoned once the distance provably exceeds its
+    limit), ``memo_hits`` / ``memo_misses`` (pair-score lookups answered
+    / not answered by the corpus-global score memo), and ``myers_words``
+    (64-bit machine words advanced by the bit-parallel kernel — zero for
+    the exact backend).
     """
 
     queries: int = 0
@@ -164,7 +160,7 @@ class MatchStats:
             ["verification", "abandoned by mean bound", self.abandoned_by_mean],
             ["verification", "pair distances computed", self.pairs_scored],
             ["verification", "pairs skipped by length bound", self.pairs_skipped_by_bound],
-            ["verification", "pairs cut off by band", self.pairs_cutoff],
+            ["verification", "pairs cut off at limit", self.pairs_cutoff],
             ["verification", "pair memo hits", self.memo_hits],
             ["verification", "pair memo misses", self.memo_misses],
             ["verification", "bit-parallel words", self.myers_words],
@@ -180,7 +176,7 @@ class PreparedCandidate:
 
     ``subs`` preserves the fingerprint's original order (what the exact
     reference iterates); ``by_length``/``lengths`` are the same subs
-    sorted by length (what the bounded backend's nearest-length-first
+    sorted by length (what the myers backend's nearest-length-first
     walk consumes).  The source fingerprint rides along so a pipeline
     cache can detect a re-added document by identity.
     """
@@ -240,7 +236,7 @@ class ExactSimilarityBackend(SimilarityBackend):
     """The naive reference verifier: every pair, full edit distance.
 
     This reproduces the seed implementation of Algorithm 1 verbatim
-    (including float evaluation order) and is the baseline the bounded
+    (including float evaluation order) and is the baseline the myers
     backend is compared against — both for parity and in ``bench_fig5``.
     """
 
@@ -262,24 +258,18 @@ class ExactSimilarityBackend(SimilarityBackend):
         return best_sum / len(first_subs)
 
 
-class BoundedSimilarityBackend(SimilarityBackend):
+class MyersSimilarityBackend(SimilarityBackend):
     """The pruned verifier: identical reported scores, far fewer distances.
 
     See the module docstring for the pruning inventory and the argument
     for why reported matches stay byte-identical to the exact backend.
+    Each pair that survives the bounds is scored by Myers' bit-parallel
+    kernel: the whole pattern dimension advances 64 DP cells per machine
+    word per text character.  ``MatchStats.myers_words`` counts the
+    words advanced.
     """
 
-    name = "bounded"
-
-    def _pair_distance(self, sub_first, sub_second, limit, stats):
-        """The limit-aware distance of one pair (the myers backend's hook).
-
-        Must honour the :func:`bounded_edit_distance` contract: exactly
-        the Levenshtein distance when it is at most ``limit``, ``None``
-        otherwise.  Everything else about the two backends — bounds,
-        memo, abandonment — is shared.
-        """
-        return bounded_edit_distance(sub_first, sub_second, limit)
+    name = "myers"
 
     def verify(self, first_subs, candidate, epsilon, memo, stats):
         """Score the candidate, abandoning once ε is provably unreachable."""
@@ -301,7 +291,7 @@ class BoundedSimilarityBackend(SimilarityBackend):
             # visit candidates nearest in length first (two pointers
             # walking outward from the query sub's length): the max is
             # order-independent, but an early tight `best` shrinks every
-            # later band; similar lengths are where high scores live
+            # later distance limit; similar lengths are where high scores live
             right = bisect.bisect_left(lengths, length_first)
             left = right - 1
             while left >= 0 or right < count:
@@ -339,15 +329,16 @@ class BoundedSimilarityBackend(SimilarityBackend):
                     else:
                         # the pair only matters if its score can both beat
                         # `best` and reach `needed`; translate the tighter
-                        # of the two into a distance band (+2: float cushion)
+                        # of the two into a distance limit (+2: float cushion)
                         ceiling = longest * (100.0 - best) / 100.0
                         if needed > best:
                             ceiling = longest * (100.0 - needed) / 100.0
                         limit = int(ceiling) + 2
                         if limit > longest:
                             limit = longest
-                        distance = self._pair_distance(
-                            sub_first, sub_second, limit, stats)
+                        stats.myers_words += myers_word_count(sub_first, sub_second)
+                        distance = myers_bounded_edit_distance(
+                            sub_first, sub_second, limit)
                         if distance is None:
                             stats.pairs_cutoff += 1
                             # d > limit proves score < this bound, which is
@@ -370,35 +361,14 @@ class BoundedSimilarityBackend(SimilarityBackend):
         return best_sum / total
 
 
-class MyersSimilarityBackend(BoundedSimilarityBackend):
-    """The bounded verifier with a bit-parallel distance kernel.
-
-    Inherits every pruning decision from
-    :class:`BoundedSimilarityBackend` — bounds, memo, and abandonment
-    are byte-for-byte the same, so parity with ``exact`` carries over —
-    and swaps only the pair-distance computation for Myers' algorithm:
-    the whole pattern dimension advances 64 DP cells per machine word
-    per text character instead of one band cell per interpreted loop
-    iteration.  ``MatchStats.myers_words`` counts the words advanced.
-    """
-
-    name = "myers"
-
-    def _pair_distance(self, sub_first, sub_second, limit, stats):
-        """Myers' bit-parallel distance, same contract as the DP band."""
-        stats.myers_words += myers_word_count(sub_first, sub_second)
-        return myers_bounded_edit_distance(sub_first, sub_second, limit)
-
-
 #: registry of the built-in verification backends
 SIMILARITY_BACKENDS: Dict[str, type] = {
     ExactSimilarityBackend.name: ExactSimilarityBackend,
-    BoundedSimilarityBackend.name: BoundedSimilarityBackend,
     MyersSimilarityBackend.name: MyersSimilarityBackend,
 }
 
 #: the default verification backend
-DEFAULT_SIMILARITY_BACKEND = BoundedSimilarityBackend.name
+DEFAULT_SIMILARITY_BACKEND = MyersSimilarityBackend.name
 
 
 def resolve_similarity_backend(
@@ -406,13 +376,18 @@ def resolve_similarity_backend(
 ) -> SimilarityBackend:
     """Resolve a backend name (or pass an instance through).
 
-    ``None`` resolves to the default (``"bounded"``); unknown names raise
-    ``ValueError`` listing the registered backends.
+    ``None`` resolves to the default (``"myers"``); unknown names raise
+    ``ValueError`` listing the registered backends.  The retired name
+    ``"bounded"`` (a banded-DP verifier that made exactly myers's pruning
+    decisions) resolves to myers, so index manifests, study checkpoints
+    and job options that name it keep working.
     """
     if backend is None:
         backend = DEFAULT_SIMILARITY_BACKEND
     if isinstance(backend, SimilarityBackend):
         return backend
+    if backend == "bounded":
+        backend = MyersSimilarityBackend.name
     try:
         return SIMILARITY_BACKENDS[backend]()
     except KeyError:
@@ -533,7 +508,6 @@ class MatchPipeline:
 __all__ = [
     "CloneMatch",
     "DEFAULT_SIMILARITY_BACKEND",
-    "BoundedSimilarityBackend",
     "ExactSimilarityBackend",
     "MatchPipeline",
     "MatchStats",

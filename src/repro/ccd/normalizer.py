@@ -438,16 +438,10 @@ class Normalizer:
         return name
 
 
-def normalize_source(source: str) -> NormalizedUnit:
-    """Module-level convenience wrapper around :class:`Normalizer`."""
-    return Normalizer().normalize(source)
-
-
 __all__ = [
     "NormalizedContract",
     "NormalizedFunction",
     "NormalizedUnit",
     "Normalizer",
     "SolidityParseError",
-    "normalize_source",
 ]

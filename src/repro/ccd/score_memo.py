@@ -12,7 +12,7 @@ identical pairs on every job.
 
 * an in-memory dict keyed by the canonically ordered (sub₁, sub₂) pair
   (δ is symmetric) in front — holding exact scores (``>= 0``) and, for
-  pairs the banded verifier abandoned at a distance limit, negatively
+  pairs the pruned verifier abandoned at a distance limit, negatively
   encoded *cutoff bounds* (``-U``: the true score is provably below
   ``U``), so a warm table answers even the pairs that were never scored
   exactly,
@@ -238,7 +238,7 @@ class ScoreMemoTable:
 
         Non-negative values are exact δ scores and are final (scores are
         pure).  Negative values encode a *cutoff bound*: ``-U`` records
-        that the pair's true score is provably below ``U`` — the banded
+        that the pair's true score is provably below ``U`` — the pruned
         verifier abandoned the pair at a distance limit.  Bounds may be
         tightened (a larger encoded value) or upgraded to an exact score;
         they never overwrite one.

@@ -69,15 +69,40 @@ def edit_distance(first: str, second: str) -> int:
     return previous[-1]
 
 
-def bounded_edit_distance(first: str, second: str, limit: int) -> Optional[int]:
+@lru_cache(maxsize=65536)
+def _myers_masks(pattern: str) -> dict:
+    """Per-character match bitmasks of ``pattern`` (Myers' ``Peq`` table).
+
+    Bit ``i`` of ``masks[c]`` is set when ``pattern[i] == c``.  Cached:
+    sub-fingerprints repeat heavily across pairs, and the same pattern is
+    matched against many texts — the mask table is the per-pattern setup
+    cost of the bit-parallel kernel.
+    """
+    masks: dict = {}
+    bit = 1
+    for char in pattern:
+        masks[char] = masks.get(char, 0) | bit
+        bit <<= 1
+    return masks
+
+
+def myers_bounded_edit_distance(first: str, second: str, limit: int) -> Optional[int]:
     """Levenshtein distance when it is at most ``limit``, else ``None``.
 
-    A banded (Ukkonen-style) variant of :func:`edit_distance`: only the
-    diagonal band of width ``2 * limit + 1`` is filled in, so the cost is
-    O(max_len * limit) instead of O(n * m).  When the true distance is
-    within the band the returned value is **exactly** the Levenshtein
-    distance; when every band cell exceeds ``limit`` the computation is
-    abandoned early and ``None`` is returned.
+    Myers' bit-parallel algorithm (J. ACM 46(3), 1999) in Hyyrö's
+    formulation: one column of the DP matrix per character of the
+    shorter string (the *text*), the whole longer string (the *pattern*)
+    held in big-int bitvectors (``VP``/``VN`` delta encoding) — 64 DP
+    cells advance per machine word per step, with Python's
+    arbitrary-width ints extending past 64 pattern characters for free.
+
+    The loop abandons as soon as the running score minus the remaining
+    text length proves the final distance must exceed ``limit`` (the
+    score changes by at most 1 per text character).  The cutoff is
+    tracked as a budget counter, ``limit + remaining - score``, folded
+    into the score branches so the hot loop carries no extra compare.
+    When the distance is within the limit the returned value is exactly
+    the Levenshtein distance of :func:`edit_distance`.
     """
     if first == second:
         return 0
@@ -98,103 +123,18 @@ def bounded_edit_distance(first: str, second: str, limit: int) -> Optional[int]:
     if len(second) == 1:
         distance = len(first) - (1 if second in first else 0)
         return distance if distance <= limit else None
-    columns = len(second)
-    big = limit + 1
-    previous = [column if column <= limit else big for column in range(columns + 1)]
-    # two reusable row buffers; cells outside the band are kept at `big`
-    # by explicitly resetting the one boundary cell the next row can read
-    current = [big] * (columns + 1)
-    for row, char_first in enumerate(first, start=1):
-        low = row - limit
-        if low < 1:
-            low = 1
-        high = row + limit
-        if high > columns:
-            high = columns
-        left = row if row <= limit else big
-        current[low - 1] = left
-        row_minimum = left
-        for column in range(low, high + 1):
-            value = previous[column - 1]
-            if char_first != second[column - 1]:
-                value += 1
-            delete_cost = previous[column] + 1
-            if delete_cost < value:
-                value = delete_cost
-            insert_cost = current[column - 1] + 1
-            if insert_cost < value:
-                value = insert_cost
-            current[column] = value
-            if value < row_minimum:
-                row_minimum = value
-        if row_minimum > limit:
-            return None
-        if high < columns:
-            current[high + 1] = big
-        previous, current = current, previous
-    return previous[columns] if previous[columns] <= limit else None
-
-
-@lru_cache(maxsize=65536)
-def _myers_masks(pattern: str) -> dict:
-    """Per-character match bitmasks of ``pattern`` (Myers' ``Peq`` table).
-
-    Bit ``i`` of ``masks[c]`` is set when ``pattern[i] == c``.  Cached:
-    sub-fingerprints repeat heavily across pairs, and the same pattern is
-    matched against many texts — the mask table is the per-pattern setup
-    cost of the bit-parallel kernel.
-    """
-    masks: dict = {}
-    bit = 1
-    for char in pattern:
-        masks[char] = masks.get(char, 0) | bit
-        bit <<= 1
-    return masks
-
-
-def _myers_loop(pattern: str, text: str, limit: Optional[int]) -> Optional[int]:
-    """The bit-parallel core: Myers/Hyyrö edit distance of pattern vs text.
-
-    One column of the DP matrix per *text* character, the whole *pattern*
-    dimension held in big-int bitvectors (``VP``/``VN`` delta encoding) —
-    64 DP cells advance per machine word per step, with Python's
-    arbitrary-width ints extending past 64 pattern characters for free.
-
-    With a ``limit``, the loop abandons as soon as the running score
-    minus the remaining text length proves the final distance must
-    exceed it (the score changes by at most 1 per text character), and
-    the final distance is reported only when it is within the limit —
-    the same contract as :func:`bounded_edit_distance`.  The cutoff is
-    tracked as a budget counter, ``limit + remaining - score``, folded
-    into the score branches so the hot loop carries no extra compare.
-    """
-    length = len(pattern)
+    # pattern = longer string (bitvector width), text = shorter (loop count)
+    length = len(first)
     mask = (1 << length) - 1
     high = 1 << (length - 1)
-    get = _myers_masks(pattern).get
+    get = _myers_masks(first).get
     vp = mask
     vn = 0
     score = length
-    if limit is None:
-        for char in text:
-            eq = get(char, 0)
-            xv = eq | vn
-            xh = (((eq & vp) + vp) ^ vp) | eq
-            hp = vn | (mask & ~(xh | vp))
-            hn = vp & xh
-            if hp & high:
-                score += 1
-            elif hn & high:
-                score -= 1
-            hp = ((hp << 1) | 1) & mask
-            hn = (hn << 1) & mask
-            vp = hn | (mask & ~(xv | hp))
-            vn = hp & xv
-        return score
     # budget < 0 <=> score - remaining > limit: the final distance cannot
     # come back under the limit (each text char moves the score by <= 1)
-    budget = limit + len(text) - score
-    for char in text:
+    budget = limit + len(second) - score
+    for char in second:
         eq = get(char, 0)
         xv = eq | vn
         xh = (((eq & vp) + vp) ^ vp) | eq
@@ -216,55 +156,6 @@ def _myers_loop(pattern: str, text: str, limit: Optional[int]) -> Optional[int]:
         vp = hn | (mask & ~(xv | hp))
         vn = hp & xv
     return score if score <= limit else None
-
-
-def myers_edit_distance(first: str, second: str) -> int:
-    """Levenshtein distance via Myers' bit-parallel algorithm (exact).
-
-    Identical values to :func:`edit_distance` — the parity suite pins
-    this — at a fraction of the interpreted work: the inner loop runs
-    once per character of the shorter string and advances the entire
-    other dimension with a handful of big-int operations.
-    """
-    if first == second:
-        return 0
-    first, second = _strip_common_affixes(first, second)
-    if not first:
-        return len(second)
-    if not second:
-        return len(first)
-    if len(first) < len(second):
-        first, second = second, first
-    if len(second) == 1:
-        return len(first) - (1 if second in first else 0)
-    # pattern = longer string (bitvector width), text = shorter (loop count)
-    return _myers_loop(first, second, None)
-
-
-def myers_bounded_edit_distance(first: str, second: str, limit: int) -> Optional[int]:
-    """Myers' bit-parallel distance when it is at most ``limit``, else ``None``.
-
-    Same contract as :func:`bounded_edit_distance` (exactly the
-    Levenshtein distance when within the limit, ``None`` otherwise), but
-    the cutoff rides on the bit-parallel score instead of a DP band.
-    """
-    if first == second:
-        return 0
-    if limit <= 0:
-        return None
-    if abs(len(first) - len(second)) > limit:
-        return None
-    first, second = _strip_common_affixes(first, second)
-    if not first:
-        return len(second) if len(second) <= limit else None
-    if not second:
-        return len(first) if len(first) <= limit else None
-    if len(first) < len(second):
-        first, second = second, first
-    if len(second) == 1:
-        distance = len(first) - (1 if second in first else 0)
-        return distance if distance <= limit else None
-    return _myers_loop(first, second, limit)
 
 
 def myers_word_count(first: str, second: str) -> int:

@@ -46,7 +46,7 @@ from repro.api import REGISTRY, AnalysisSession, SessionConfig, all_analyzers
 from repro.ccc.registry import BUILTIN_QUERY_IDS, all_queries
 from repro.ccd.detector import CloneDetector
 from repro.ccd.index_io import IndexFormatError, read_manifest
-from repro.ccd.matcher import SIMILARITY_BACKENDS
+from repro.ccd.matcher import DEFAULT_SIMILARITY_BACKEND, SIMILARITY_BACKENDS
 from repro.core.executor import BACKENDS
 from repro.core.artifacts import content_key
 from repro.core.persistence import DATABASE_NAME, CacheConfigurationError, DiskArtifactStore
@@ -142,11 +142,10 @@ def _add_detector_arguments(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--similarity-threshold", type=float, default=0.9,
                        help="clone decision threshold epsilon (default: 0.9)")
     group.add_argument("--similarity-backend", choices=sorted(SIMILARITY_BACKENDS),
-                       default="bounded",
-                       help="clone verification backend: bounded (pruned, "
-                            "default), myers (same pruning, bit-parallel "
-                            "distance kernel), or exact (naive reference); "
-                            "all produce identical matches")
+                       default=DEFAULT_SIMILARITY_BACKEND,
+                       help="clone verification backend: myers (pruned, "
+                            "bit-parallel distance kernel; default) or exact "
+                            "(naive reference); both produce identical matches")
 
 
 def _open_cache(args: argparse.Namespace, **store_kwargs) -> Optional[DiskArtifactStore]:

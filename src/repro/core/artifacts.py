@@ -165,14 +165,6 @@ class FunctionDigestCache:
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
-
     def clear(self) -> None:
         """Drop the memory tier (the disk tier, if any, is untouched)."""
         with self._lock:
@@ -197,8 +189,8 @@ class SourceArtifact:
                  "_fingerprint", "_fingerprint_error", "_ngrams", "_on_materialize",
                  "_function_digests")
 
-    #: names of the derived-value slots captured by :meth:`snapshot` /
-    #: preloaded by :meth:`restore` (the persistence payload format)
+    #: names of the derived-value slots preloaded by :meth:`restore`
+    #: (the persistence payload format)
     PAYLOAD_FIELDS = ("unit", "unit_error", "graph", "graph_error",
                       "fingerprint", "fingerprint_error", "ngrams")
 
@@ -238,25 +230,8 @@ class SourceArtifact:
             self._on_materialize(self, field)
 
     # -- persistence ----------------------------------------------------------
-    def snapshot(self) -> dict:
-        """The materialized derived values as a picklable payload dict.
-
-        Only values computed so far are included; :meth:`restore` on a
-        fresh artifact for the same source is the inverse.  Used by
-        :class:`~repro.core.persistence.DiskArtifactStore` to serialize
-        artifacts (ASTs, CPGs, fingerprints, and cached parse errors all
-        pickle).
-        """
-        with self._lock:
-            payload = {}
-            for name in self.PAYLOAD_FIELDS:
-                value = getattr(self, "_" + name)
-                if value is not None:
-                    payload[name] = value
-            return payload
-
     def restore(self, payload: dict) -> None:
-        """Preload derived values from a :meth:`snapshot` payload.
+        """Preload derived values from a persisted ``{field: value}`` payload.
 
         Already-materialized values win over the payload, so restoring is
         safe at any point in the artifact's life.  No statistics counters
@@ -556,11 +531,6 @@ class ArtifactStore:
         self.function_digests = FunctionDigestCache()
         self._entries: "OrderedDict[str, SourceArtifact]" = OrderedDict()
         self._lock = threading.RLock()
-
-    @classmethod
-    def from_spec(cls, spec: ArtifactStoreSpec) -> "ArtifactStore":
-        """Build the store described by a (possibly disk-backed) spec."""
-        return spec.build()
 
     @property
     def spec(self) -> ArtifactStoreSpec:

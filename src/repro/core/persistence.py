@@ -430,20 +430,6 @@ class DiskArtifactStore(ArtifactStore):
             return self._connection.execute(
                 "SELECT COUNT(DISTINCT key) FROM artifacts").fetchone()[0]
 
-    def disk_usage(self) -> dict:
-        """Summary of the disk tier (entry count, payload bytes, age range)."""
-        with self._db_lock:
-            if self._connection is None:
-                return {"entries": 0, "payload_bytes": 0}
-            row = self._connection.execute(
-                "SELECT COUNT(DISTINCT key), COALESCE(SUM(size), 0), "
-                "MIN(created), MAX(last_used) FROM artifacts").fetchone()
-        usage = {"entries": row[0], "payload_bytes": row[1]}
-        if row[2] is not None:
-            usage["oldest_created"] = row[2]
-            usage["newest_used"] = row[3]
-        return usage
-
     def gc(
         self,
         max_entries: Optional[int] = None,

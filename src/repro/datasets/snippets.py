@@ -126,9 +126,6 @@ class QACorpus:
     def snippets(self) -> list[Snippet]:
         return [snippet for post in self.posts for snippet in post.snippets]
 
-    def snippets_by_site(self, site: str) -> list[Snippet]:
-        return [snippet for snippet in self.snippets if snippet.site == site]
-
     def posts_by_site(self, site: str) -> list[QAPost]:
         return [post for post in self.posts if post.site == site]
 

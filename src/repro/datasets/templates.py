@@ -51,10 +51,6 @@ class TemplateInstance:
     template_id: str = ""
     identifiers: dict = field(default_factory=dict)
 
-    @property
-    def vulnerable(self) -> bool:
-        return self.category is not None
-
 
 def _pick(rng: random.Random, pool: list[str]) -> str:
     return rng.choice(pool)

@@ -9,7 +9,6 @@ otherwise.  Recall is computed over all same-family pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Optional
 
 from repro.baselines.exact_hash import ExactHashCloneBaseline

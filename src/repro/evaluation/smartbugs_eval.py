@@ -9,7 +9,6 @@ counts false positives reported in the matching test set).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -105,15 +104,13 @@ def _ccc_analyses(
     """
     if backend is None:
         return [checker.analyze(source, snippet=True) for source in sources]
-    from repro.core.executor import Executor
+    from repro.api import AnalysisSession, SessionConfig
 
-    executor = Executor.create(backend, max_workers=max_workers)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            return checker.analyze_many(sources, executor=executor)
-    finally:
-        executor.close()
+    config = SessionConfig(backend=backend, max_workers=max_workers)
+    with AnalysisSession(config, store=checker.store) as session:
+        envelopes = session.run(sources, analyses=["ccc"],
+                                options={"ccc": {"checker": checker}})
+    return [envelope.payload for envelope in envelopes]
 
 
 def evaluate_ccc_on_corpus(

@@ -54,7 +54,7 @@ def map_snippets_to_contracts(
     The default thresholds are the conservative configuration of the
     large-scale study (N=3, η=0.5, ε=0.9; Section 6.3).
     ``similarity_backend`` selects the verification backend of the
-    internally built detector (``"bounded"`` by default — see
+    internally built detector (``"myers"`` by default — see
     :mod:`repro.ccd.matcher`; every backend maps identically).
     ``session`` supplies the shared :class:`~repro.api.AnalysisSession`
     whose store and executor the mapping runs through (the study passes

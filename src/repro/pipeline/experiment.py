@@ -19,6 +19,7 @@ from typing import Callable, Optional
 
 from repro.ccc.checker import ContractChecker
 from repro.ccc.dasp import DaspCategory
+from repro.ccd.matcher import DEFAULT_SIMILARITY_BACKEND
 from repro.core.artifacts import ArtifactStore
 from repro.core.executor import Executor
 from repro.datasets.corpus import DeployedContract, Snippet
@@ -60,8 +61,8 @@ class StudyConfiguration:
     ngram_size: int = 3
     ngram_threshold: float = 0.5
     similarity_threshold: float = 0.9
-    #: CCD verification backend ("bounded" or "exact"; identical results)
-    similarity_backend: str = "bounded"
+    #: CCD verification backend ("myers" or "exact"; identical results)
+    similarity_backend: str = DEFAULT_SIMILARITY_BACKEND
     validation_timeout_seconds: float = 30.0
     snippet_analysis_timeout_seconds: float = 20.0
     restrict_to_source_snippets: bool = False

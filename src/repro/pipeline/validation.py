@@ -11,14 +11,12 @@ positive part of the search).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.ccc.checker import AnalysisResult, ContractChecker
 from repro.ccc.dasp import DaspCategory
 from repro.core.artifacts import ArtifactStore, ArtifactStoreSpec, process_local_store
-from repro.core.executor import Executor
 
 
 @dataclass(frozen=True)
@@ -72,16 +70,6 @@ class ValidationSummary:
     def vulnerable(self) -> int:
         """Pairs whose contract confirmed at least one expected query."""
         return sum(1 for outcome in self.outcomes if outcome.vulnerable)
-
-    @property
-    def vulnerable_addresses(self) -> set[str]:
-        """Addresses of the contracts confirmed vulnerable."""
-        return {outcome.address for outcome in self.outcomes if outcome.vulnerable}
-
-    @property
-    def vulnerable_snippet_ids(self) -> set[str]:
-        """Ids of the snippets confirmed in at least one contract."""
-        return {outcome.snippet_id for outcome in self.outcomes if outcome.vulnerable}
 
 
 class ContractValidator:
@@ -139,35 +127,6 @@ class ContractValidator:
             snippet_id=candidate.snippet_id,
             query_ids=candidate.query_ids,
         )
-
-    def validate_many(
-        self,
-        candidates: Sequence[ValidationCandidate],
-        executor: Optional[Executor] = None,
-    ) -> list[ValidationOutcome]:
-        """Validate a batch of candidates, optionally fanning out over workers.
-
-        .. deprecated::
-            Use :meth:`repro.api.AnalysisSession.run` (or ``run_iter``
-            for streaming) with ``analyses=["validate"]`` instead; this
-            shim delegates to a session wrapping this validator and
-            unwraps the envelopes back to the legacy
-            :class:`ValidationOutcome` list, in input order.
-        """
-        warnings.warn(
-            "ContractValidator.validate_many is deprecated; run the "
-            "'validate' analyzer through repro.api.AnalysisSession instead",
-            DeprecationWarning, stacklevel=2)
-        from repro.api import AnalysisSession
-
-        session = AnalysisSession(store=self.checker.store, executor=executor)
-        try:
-            envelopes = session.run(
-                list(candidates), analyses=["validate"],
-                options={"validate": {"validator": self}})
-        finally:
-            session.close()
-        return [envelope.payload for envelope in envelopes]
 
     # -- helpers -------------------------------------------------------------
     def _run(

@@ -14,12 +14,6 @@ from repro.cpg.graph import EdgeLabel
 from repro.cpg.nodes import CPGNode
 from repro.query.engine import QueryContext
 
-#: Low-level call member names that hand control to another contract.
-LOW_LEVEL_CALL_NAMES = {"call", "callcode", "delegatecall", "staticcall", "send"}
-
-#: Member names that move ether.
-ETHER_TRANSFER_NAMES = {"transfer", "send", "call", "value"}
-
 #: Built-in global objects whose members never resolve to declarations.
 BUILTIN_BASES = {"msg", "tx", "block", "abi", "this", "super", "address", "payable", "type"}
 
@@ -77,10 +71,6 @@ def functions(ctx: QueryContext, include_constructors: bool = False,
 def parameters_of(ctx: QueryContext, function: CPGNode) -> list[CPGNode]:
     params = ctx.graph.successors(function, EdgeLabel.PARAMETERS)
     return sorted(params, key=lambda parameter: getattr(parameter, "index", 0))
-
-
-def fields_of_graph(ctx: QueryContext) -> list[CPGNode]:
-    return ctx.graph.nodes_by_label("FieldDeclaration")
 
 
 def body_nodes(ctx: QueryContext, function: CPGNode) -> list[CPGNode]:
@@ -202,10 +192,6 @@ def call_value_expressions(ctx: QueryContext, call: CPGNode) -> list[CPGNode]:
 # ---------------------------------------------------------------------------
 # Sources: msg.sender, msg.data, block values, parameters
 # ---------------------------------------------------------------------------
-
-
-def nodes_with_code(ctx: QueryContext, code: str) -> list[CPGNode]:
-    return ctx.graph.find(code=code)
 
 
 def msg_sender_nodes(ctx: QueryContext) -> list[CPGNode]:

@@ -349,8 +349,6 @@ class ClusterCoordinator:
         self._threads: List[threading.Thread] = []
         self._stop_event = threading.Event()
         self._wakeup = threading.Condition()
-        self._idle = threading.Condition()
-        self._running_jobs = 0
         self._gateway: Optional[AsyncGateway] = None
         self._stop_requested = threading.Event()
         self._stopped = False
@@ -709,18 +707,6 @@ class ClusterCoordinator:
         }
 
     # -- fan-out --------------------------------------------------------------
-    def drain(self, timeout: float = 60.0) -> bool:
-        """Block until the job queue is empty and no fan-out is running."""
-        deadline = time.monotonic() + timeout
-        while True:
-            with self._idle:
-                if self._running_jobs == 0 and self.jobstore.queue_depth() == 0:
-                    return True
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._idle.wait(min(remaining, self.config.poll_interval * 4))
-
     def _fanout_loop(self) -> None:
         while not self._stop_event.is_set():
             job = self.jobstore.claim_next()
@@ -728,8 +714,6 @@ class ClusterCoordinator:
                 with self._wakeup:
                     self._wakeup.wait(self.config.poll_interval)
                 continue
-            with self._idle:
-                self._running_jobs += 1
             try:
                 with self._work_lock.read():  # never fan out mid-rebalance
                     self._run_fanout(job)
@@ -739,10 +723,6 @@ class ClusterCoordinator:
                     job.job_id, "failed",
                     error=f"{type(error).__name__}: {error}")
                 self.jobs_failed += 1
-            finally:
-                with self._idle:
-                    self._running_jobs -= 1
-                    self._idle.notify_all()
 
     def _scatter_analyses(self, job: Job) -> set:
         """Which of the job's analyses carry corpus-partitioned payloads.

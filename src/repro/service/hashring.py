@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
 #: Virtual ring points placed per shard.  More points smooth the key
 #: distribution across shards; 64 keeps the per-shard imbalance low for
@@ -120,9 +120,6 @@ class HashRing:
 
     def __contains__(self, node: str) -> bool:
         return node in self._nodes
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.nodes)
 
 
 def partition(

@@ -164,12 +164,6 @@ class Scheduler:
             thread.join()
         self._threads = []
 
-    def __enter__(self) -> "Scheduler":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     # -- draining -------------------------------------------------------------
     def drain(self, timeout: Optional[float] = None) -> bool:
         """Block until the queue is empty and no job is running.

@@ -33,6 +33,7 @@ from typing import Optional
 from repro.api.session import AnalysisSession, SessionConfig
 from repro.ccd.detector import CloneDetector
 from repro.ccd.index_io import MANIFEST_NAME, append_to_index
+from repro.ccd.matcher import DEFAULT_SIMILARITY_BACKEND, resolve_similarity_backend
 from repro.ccd.score_memo import SCORE_MEMO_NAME, ScoreMemoTable
 from repro.core.artifacts import content_key
 from repro.service.delta import (
@@ -112,6 +113,17 @@ def validate_job_request(sources, analyses, options, registry) -> tuple:
         options = {}
     if not isinstance(options, dict):
         raise ServiceValidationError("'options' must be an object")
+    for analyzer_id, analyzer_options in options.items():
+        if not isinstance(analyzer_options, dict):
+            raise ServiceValidationError(
+                f"'options.{analyzer_id}' must be an object")
+    ccd_options = options.get("ccd", {})
+    if "similarity_backend" in ccd_options:
+        try:
+            resolve_similarity_backend(ccd_options["similarity_backend"])
+        except (TypeError, ValueError) as error:
+            raise ServiceValidationError(
+                f"'options.ccd.similarity_backend': {error}") from None
     return sources, list(analyses), options
 
 
@@ -170,7 +182,7 @@ class ServiceConfig:
     fingerprint_window: int = 4
     ngram_threshold: float = 0.5
     similarity_threshold: float = 0.7
-    similarity_backend: str = "bounded"
+    similarity_backend: str = DEFAULT_SIMILARITY_BACKEND
     checker_timeout: Optional[float] = None
     stream_window: int = 4
     #: hash-prefix shards of the persisted index
@@ -261,10 +273,14 @@ class AnalysisService:
             detector = CloneDetector.load(self.index_dir, store=self.session.store)
             # the structural parameters (N-gram size, fuzzy-hash shape) are
             # baked into the persisted artifacts and validated by load();
-            # the thresholds are query-time knobs and follow the daemon
-            # configuration, so /v1/stats never misreports the live values
+            # the thresholds and the verification backend are query-time
+            # knobs (δ is pure, so neither the artifacts nor the score memo
+            # depend on the backend) and follow the daemon configuration,
+            # so /v1/stats never misreports the live values
             detector.ngram_threshold = config.ngram_threshold
             detector.similarity_threshold = config.similarity_threshold
+            detector.matcher.backend = resolve_similarity_backend(
+                config.similarity_backend)
             if not detector.score_memo.persistent:
                 # indexes saved before the score-memo tier existed: attach
                 # one now so this daemon's scores survive its restarts

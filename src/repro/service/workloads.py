@@ -243,9 +243,6 @@ class WorkloadRegistry:
         """Every registered kind id, sorted."""
         return sorted(self._workloads)
 
-    def __contains__(self, kind: str) -> bool:
-        return kind in self._workloads
-
 
 #: the process-wide registry the service consults
 WORKLOADS = WorkloadRegistry()

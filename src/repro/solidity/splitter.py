@@ -83,11 +83,6 @@ class SourceSplit:
         """All spans across groups, in fingerprint order."""
         return [span for group in self.groups for span in group]
 
-    def changed_keys(self, base: "SourceSplit") -> set:
-        """Span keys of this split that the ``base`` split does not have."""
-        base_keys = {span.key for span in base.spans}
-        return {span.key for span in self.spans if span.key not in base_keys}
-
 
 def span_key(label: str, tokens: List[Token]) -> str:
     """The content key of a span: label + exact token stream.
@@ -103,24 +98,6 @@ def span_key(label: str, tokens: List[Token]) -> str:
         hasher.update(f"\x1e{token.type.name}\x1f{token.value}\x1f{flag}"
                       .encode("utf-8", "replace"))
     return hasher.hexdigest()
-
-
-def changed_line_ranges(base_source: str, source: str) -> Optional[list]:
-    """``(start_line, end_line)`` ranges of functions not present in ``base``.
-
-    The delta view the ``changed_only`` analyzer option filters findings
-    against: a finding is "changed" when its line falls inside a function
-    whose token stream differs from every function of the base version.
-    Returns ``None`` when either source cannot be split — callers must
-    then treat *everything* as changed.
-    """
-    base_split = split_source(base_source)
-    split = split_source(source)
-    if base_split is None or split is None:
-        return None
-    base_keys = {span.key for span in base_split.spans}
-    return [(span.start_line, span.end_line)
-            for span in split.spans if span.key not in base_keys]
 
 
 class _Splitter:
@@ -493,5 +470,4 @@ def split_source(source: str) -> Optional[SourceSplit]:
         return None
 
 
-__all__ = ["FunctionSpan", "SourceSplit", "changed_line_ranges",
-           "span_key", "split_source"]
+__all__ = ["FunctionSpan", "SourceSplit", "span_key", "split_source"]

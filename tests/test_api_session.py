@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pickle
 import types
+import warnings
 
 import pytest
 
@@ -28,12 +29,17 @@ from repro.api import (
     register_analyzer,
 )
 from repro.ccc.checker import AnalysisResult as CccResult
-from repro.core.executor import BACKENDS
+from repro.ccc.checker import ContractChecker
+from repro.ccd.detector import CloneDetector
+from repro.ccd.matcher import MyersSimilarityBackend
+from repro.core.artifacts import ArtifactStore
+from repro.core.executor import BACKENDS, Executor
 from repro.core.persistence import DiskArtifactStore
 from repro.datasets.sanctuary import generate_sanctuary
 from repro.datasets.snippets import generate_qa_corpus
 from repro.pipeline.collection import SnippetCollector
 from repro.pipeline.temporal import TemporalCategories
+from repro.pipeline.validation import ContractValidator, ValidationCandidate
 
 REENTRANT = """
 contract Wallet {
@@ -280,6 +286,115 @@ class TestBatchStreamingParity:
                     r.as_dict() for r in session.run(corpus, analyses=["ccd", "ccc"])]
         assert outputs["thread"] == outputs["serial"]
         assert outputs["process"] == outputs["serial"]
+
+
+def ccc_fields(result):
+    """The comparable (timing-free) fields of a ccc AnalysisResult."""
+    return (tuple(result.findings), result.timed_out, result.parse_error,
+            result.graph_nodes)
+
+
+def outcome_fields(outcome):
+    """The comparable (timing-free) fields of a ValidationOutcome."""
+    return (outcome.address, outcome.snippet_id, outcome.expected_queries,
+            outcome.vulnerable, outcome.confirmed_queries, outcome.timed_out,
+            outcome.analysis_error, outcome.phase)
+
+
+class TestSingleItemEntryPointParity:
+    """A session run over adopted analysers equals their per-item calls.
+
+    ``AnalysisSession.run`` is the only batch entry point; the per-item
+    ``ContractChecker.analyze`` / ``CloneDetector.find_clones`` /
+    ``ContractValidator.validate_candidate`` calls must give the same
+    results item by item, under every executor backend.
+    """
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_ccc_matches_checker_analyze(self, backend, corpus):
+        store = ArtifactStore()
+        checker = ContractChecker(timeout=10.0, store=store)
+        sources = [source for _, source in corpus]
+        with Executor.create(backend, max_workers=2, chunk_size=2) as executor:
+            with AnalysisSession(store=store, executor=executor) as session:
+                envelopes = session.run(sources, analyses=["ccc"],
+                                        options={"ccc": {"checker": checker}})
+        direct = [checker.analyze(source) for source in sources]
+        assert [ccc_fields(envelope.payload) for envelope in envelopes] == \
+            [ccc_fields(result) for result in direct]
+        assert any(result.findings for result in direct)
+        assert direct[-1].parse_error is not None
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_ccd_matches_detector_find_clones(self, backend):
+        store = ArtifactStore()
+        detector = CloneDetector(similarity_threshold=0.7, store=store)
+        detector.add_corpus([("wallet", REENTRANT), ("counter", SAFE)])
+        queries = [("q1", REENTRANT), ("q2", TIMESTAMP), ("q3", UNPARSABLE)]
+        with Executor.create(backend, max_workers=2, chunk_size=2) as executor:
+            with AnalysisSession(store=store, executor=executor) as session:
+                envelopes = session.run(queries, analyses=["ccd"],
+                                        options={"ccd": {"detector": detector}})
+        assert [envelope.contract_id for envelope in envelopes] == ["q1", "q2", "q3"]
+        assert [envelope.payload for envelope in envelopes[:2]] == \
+            [detector.find_clones(source) for _, source in queries[:2]]
+        assert envelopes[0].payload[0].document_id == "wallet"
+        assert envelopes[2].payload is None
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_validate_matches_validate_candidate(self, backend):
+        store = ArtifactStore()
+        validator = ContractValidator(
+            timeout_seconds=10.0, checker=ContractChecker(store=store))
+        candidates = [
+            ValidationCandidate(address="0xa", source=REENTRANT, snippet_id="s1",
+                                query_ids=("reentrancy-call-before-write",)),
+            ValidationCandidate(address="0xb", source=TIMESTAMP, snippet_id="s2",
+                                query_ids=("time-manipulation-timestamp",)),
+            ValidationCandidate(address="0xc", source=SAFE, snippet_id="s3",
+                                query_ids=("reentrancy-call-before-write",)),
+        ]
+        with Executor.create(backend, max_workers=2, chunk_size=2) as executor:
+            with AnalysisSession(store=store, executor=executor) as session:
+                envelopes = session.run(candidates, analyses=["validate"],
+                                        options={"validate": {"validator": validator}})
+        direct = [validator.validate_candidate(candidate) for candidate in candidates]
+        assert [outcome_fields(envelope.payload) for envelope in envelopes] == \
+            [outcome_fields(outcome) for outcome in direct]
+        assert direct[0].vulnerable and direct[1].vulnerable
+        assert not direct[2].vulnerable
+
+    def test_single_item_entry_points_do_not_warn(self):
+        detector = CloneDetector()
+        detector.add_corpus([("w", REENTRANT)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ContractChecker().analyze(SAFE)
+            detector.find_clones(REENTRANT)
+            ContractValidator(timeout_seconds=10.0).validate_candidate(
+                ValidationCandidate(address="0xa", source=SAFE, snippet_id="s"))
+
+
+class TestRetiredBackendName:
+    def test_bounded_session_config_and_option_run_as_myers(self, corpus):
+        # "bounded" was a banded-DP verifier with myers's pruning
+        # decisions; configs and job options that name it still run
+        runs = {}
+        for name, config, options in (
+                ("myers", SessionConfig(), {}),
+                ("config", SessionConfig(similarity_backend="bounded"), {}),
+                ("option", SessionConfig(), {"similarity_backend": "bounded"})):
+            detectors = []
+            with AnalysisSession(config) as session:
+                runs[name] = [envelope.as_dict() for envelope in session.run(
+                    corpus, analyses=["ccd"],
+                    options={"ccd": {**options, "profile_sink": detectors}})]
+            (detector,) = detectors
+            assert isinstance(detector.matcher.backend, MyersSimilarityBackend)
+            assert detector.similarity_backend == "myers"
+            assert detector.match_stats.verified > 0
+        assert runs["config"] == runs["myers"]
+        assert runs["option"] == runs["myers"]
 
 
 class TestCorpusScopeAnalyzers:

@@ -6,8 +6,8 @@ from repro.ccd.fingerprint import Fingerprint, FingerprintGenerator
 from repro.ccd.fuzzyhash import BASE64_ALPHABET, FuzzyHasher, fuzzy_hash_tokens
 from repro.ccd.ngram_index import NGramIndex, ngrams
 from repro.ccd.similarity import (
-    bounded_edit_distance,
     edit_distance,
+    myers_bounded_edit_distance,
     order_independent_similarity,
     sub_fingerprint_similarity,
 )
@@ -146,16 +146,16 @@ class TestBoundedEditDistance:
     def test_matches_exact_distance_when_within_limit(self, first, second):
         distance = edit_distance(first, second)
         for limit in (distance, distance + 1, distance + 10):
-            assert bounded_edit_distance(first, second, limit) == distance
+            assert myers_bounded_edit_distance(first, second, limit) == distance
 
     def test_returns_none_beyond_limit(self):
-        assert bounded_edit_distance("kitten", "sitting", 2) is None
-        assert bounded_edit_distance("abc", "", 2) is None
-        assert bounded_edit_distance("AAAAAAAA", "BBBBBBBB", 5) is None
+        assert myers_bounded_edit_distance("kitten", "sitting", 2) is None
+        assert myers_bounded_edit_distance("abc", "", 2) is None
+        assert myers_bounded_edit_distance("AAAAAAAA", "BBBBBBBB", 5) is None
 
     def test_zero_limit(self):
-        assert bounded_edit_distance("same", "same", 0) == 0
-        assert bounded_edit_distance("a", "b", 0) is None
+        assert myers_bounded_edit_distance("same", "same", 0) == 0
+        assert myers_bounded_edit_distance("a", "b", 0) is None
 
     def test_randomized_agreement_with_exact(self):
         import random
@@ -167,7 +167,7 @@ class TestBoundedEditDistance:
             second = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 20)))
             distance = edit_distance(first, second)
             for limit in (0, 1, 3, 8, 20):
-                bounded = bounded_edit_distance(first, second, limit)
+                bounded = myers_bounded_edit_distance(first, second, limit)
                 assert bounded == (distance if distance <= limit else None)
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import AnalysisSession
 from repro.ccd.detector import CloneDetector
 from repro.ccd.index_io import (
     IndexFormatError,
@@ -14,6 +15,13 @@ from repro.ccd.index_io import (
 from repro.core.persistence import DiskArtifactStore
 from repro.datasets.sanctuary import generate_sanctuary
 from repro.datasets.snippets import generate_qa_corpus
+
+
+def find_clones(detector, queries):
+    """Per-query matches of ``detector``, through the session's ``ccd`` analyzer."""
+    with AnalysisSession(store=detector.store) as session:
+        return [envelope.payload for envelope in session.run(
+            queries, analyses=["ccd"], options={"ccd": {"detector": detector}})]
 
 
 @pytest.fixture(scope="module")
@@ -50,12 +58,12 @@ class TestShardOf:
 class TestSaveLoadEquivalence:
     def test_roundtrip_results_identical(self, tmp_path, detector, corpus):
         _, queries = corpus
-        baseline = detector.find_clones_many(queries)
+        baseline = find_clones(detector, queries)
         manifest = save_index(detector, tmp_path / "index", shards=4)
         assert manifest["documents"] == len(detector)
         reloaded = load_index(tmp_path / "index")
         assert len(reloaded) == len(detector)
-        assert reloaded.find_clones_many(queries) == baseline
+        assert find_clones(reloaded, queries) == baseline
 
     def test_shard_counts_are_equivalent(self, tmp_path, detector, corpus):
         _, queries = corpus
@@ -64,7 +72,7 @@ class TestSaveLoadEquivalence:
             directory = tmp_path / f"index-{shards}"
             save_index(detector, directory, shards=shards)
             assert read_manifest(directory)["shards"] == shards
-            results.append(load_index(directory).find_clones_many(queries))
+            results.append(find_clones(load_index(directory), queries))
         assert results[0] == results[1] == results[2]
 
     def test_resave_with_fewer_shards_drops_stale_files(self, tmp_path, detector):
@@ -110,7 +118,7 @@ class TestSaveLoadEquivalence:
         _, queries = corpus
         detector.save_index(tmp_path / "index", shards=2)
         reloaded = CloneDetector.load(tmp_path / "index")
-        assert reloaded.find_clones_many(queries) == detector.find_clones_many(queries)
+        assert find_clones(reloaded, queries) == find_clones(detector, queries)
         assert reloaded.ngram_size == detector.ngram_size
         assert reloaded.similarity_threshold == detector.similarity_threshold
 
@@ -153,8 +161,8 @@ class TestSimilarityBackendRoundtrip:
 
     def test_default_backend_roundtrip(self, tmp_path, detector):
         manifest = save_index(detector, tmp_path / "index")
-        assert manifest["configuration"]["similarity_backend"] == "bounded"
-        assert load_index(tmp_path / "index").similarity_backend == "bounded"
+        assert manifest["configuration"]["similarity_backend"] == "myers"
+        assert load_index(tmp_path / "index").similarity_backend == "myers"
 
     def test_legacy_manifest_without_backend_loads_with_default(self, tmp_path, detector):
         import json
@@ -165,7 +173,18 @@ class TestSimilarityBackendRoundtrip:
         manifest = json.loads(manifest_path.read_text())
         del manifest["configuration"]["similarity_backend"]
         manifest_path.write_text(json.dumps(manifest))
-        assert load_index(directory).similarity_backend == "bounded"
+        assert load_index(directory).similarity_backend == "myers"
+
+    def test_retired_bounded_backend_loads_as_myers(self, tmp_path, detector):
+        import json
+
+        directory = tmp_path / "index"
+        save_index(detector, directory)
+        manifest_path = directory / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["configuration"]["similarity_backend"] = "bounded"
+        manifest_path.write_text(json.dumps(manifest))
+        assert load_index(directory).similarity_backend == "myers"
 
     def test_unregistered_backend_name_is_a_format_error(self, tmp_path, detector):
         import json

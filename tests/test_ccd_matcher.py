@@ -1,8 +1,8 @@
 """Tests for the staged clone-matching engine (repro.ccd.matcher).
 
-The central property is **backend parity**: the ``bounded`` and
-``myers`` backends must return :class:`CloneMatch` lists byte-identical
-(ids *and* float scores) to the ``exact`` backend — and all must agree
+The central property is **backend parity**: the pruned ``myers``
+backend must return :class:`CloneMatch` lists byte-identical (ids *and*
+float scores) to the ``exact`` backend — and both must agree
 with a naive re-derivation of the seed semantics (count-every-posting
 candidates + Algorithm 1) — across randomized fingerprint corpora and
 η/ε grids, including unicode and >64-character sub-fingerprints (the
@@ -20,7 +20,6 @@ from repro.ccd.fuzzyhash import BASE64_ALPHABET
 from repro.ccd.matcher import (
     DEFAULT_SIMILARITY_BACKEND,
     SIMILARITY_BACKENDS,
-    BoundedSimilarityBackend,
     CloneMatch,
     ExactSimilarityBackend,
     MatchPipeline,
@@ -31,7 +30,7 @@ from repro.ccd.matcher import (
 from repro.ccd.ngram_index import NGramIndex, ngrams
 from repro.ccd.similarity import order_independent_similarity
 
-PRUNED_BACKENDS = ("bounded", "myers")
+PRUNED_BACKENDS = ("myers",)
 
 ETA_GRID = (0.0, 0.2, 0.5, 0.8, 1.0)
 EPSILON_GRID = (0.0, 30.0, 50.0, 70.0, 90.0, 100.0)
@@ -120,7 +119,7 @@ def seed_semantics_matches(fingerprints, query, eta, epsilon, ngram_size=3):
 
 class TestBackendParity:
     @pytest.mark.parametrize("seed", range(8))
-    def test_bounded_equals_exact_equals_seed_semantics(self, seed):
+    def test_myers_equals_exact_equals_seed_semantics(self, seed):
         rng = random.Random(seed)
         pool, fingerprints = random_corpus(rng)
         index = build_index(fingerprints)
@@ -236,24 +235,8 @@ contract T {
                     assert pipeline.match(query, 0.5, epsilon) == exact_matches, \
                         f"{backend} unicode mismatch at epsilon={epsilon}"
 
-    def test_myers_shares_every_pruning_decision_with_bounded(self):
-        # myers only swaps the distance kernel: the pair counters must be
-        # exactly equal to bounded's, query by query
-        rng = random.Random(77)
-        pool, fingerprints = random_corpus(rng, documents=40)
-        index = build_index(fingerprints)
-        bounded = MatchPipeline(index, fingerprints, backend="bounded")
-        myers = MatchPipeline(index, fingerprints, backend="myers")
-        for query in random_queries(rng, pool, fingerprints):
-            assert myers.match(query, 0.5, 70.0) == bounded.match(query, 0.5, 70.0)
-        for field in ("pairs_scored", "pairs_cutoff", "pairs_skipped_by_bound",
-                      "memo_hits", "memo_misses", "verified", "matched"):
-            assert getattr(myers.stats, field) == getattr(bounded.stats, field), field
-        assert myers.stats.myers_words > 0
-        assert bounded.stats.myers_words == 0
-
     def test_empty_corpus(self):
-        pipeline = MatchPipeline(NGramIndex(3), {}, backend="bounded")
+        pipeline = MatchPipeline(NGramIndex(3), {}, backend="myers")
         assert pipeline.match(Fingerprint.parse("ABCDEF"), 0.5, 70.0) == []
 
     def test_document_with_only_empty_subs(self):
@@ -273,16 +256,21 @@ contract T {
 # ---------------------------------------------------------------------------
 
 class TestBackendResolution:
-    def test_default_is_bounded(self):
-        assert DEFAULT_SIMILARITY_BACKEND == "bounded"
-        assert isinstance(resolve_similarity_backend(None), BoundedSimilarityBackend)
-        assert CloneDetector().similarity_backend == "bounded"
+    def test_default_is_myers(self):
+        assert DEFAULT_SIMILARITY_BACKEND == "myers"
+        assert isinstance(resolve_similarity_backend(None), MyersSimilarityBackend)
+        assert CloneDetector().similarity_backend == "myers"
 
     def test_names_resolve(self):
         assert isinstance(resolve_similarity_backend("exact"), ExactSimilarityBackend)
-        assert isinstance(resolve_similarity_backend("bounded"), BoundedSimilarityBackend)
         assert isinstance(resolve_similarity_backend("myers"), MyersSimilarityBackend)
-        assert set(SIMILARITY_BACKENDS) == {"exact", "bounded", "myers"}
+        assert set(SIMILARITY_BACKENDS) == {"exact", "myers"}
+
+    def test_retired_bounded_name_resolves_to_myers(self):
+        # old manifests, study checkpoints and wire options name the
+        # retired banded-DP backend; it made myers's pruning decisions
+        assert isinstance(resolve_similarity_backend("bounded"), MyersSimilarityBackend)
+        assert CloneDetector(similarity_backend="bounded").similarity_backend == "myers"
 
     def test_instance_passes_through(self):
         backend = ExactSimilarityBackend()
@@ -304,7 +292,7 @@ class TestMatchStats:
         rng = random.Random(7)
         pool, fingerprints = random_corpus(rng, documents=25)
         index = build_index(fingerprints)
-        pipeline = MatchPipeline(index, fingerprints, backend="bounded")
+        pipeline = MatchPipeline(index, fingerprints, backend="myers")
         for query in random_queries(rng, pool, fingerprints):
             pipeline.match(query, 0.5, 70.0)
         stats = pipeline.stats
@@ -398,7 +386,7 @@ class TestThreadSafety:
         rng = random.Random(11)
         pool, fingerprints = random_corpus(rng, documents=30)
         index = build_index(fingerprints)
-        pipeline = MatchPipeline(index, fingerprints, backend="bounded")
+        pipeline = MatchPipeline(index, fingerprints, backend="myers")
         queries = [
             Fingerprint.parse(".".join(
                 mutate(rng, rng.choice(pool)) for _ in range(rng.randint(1, 3))))

@@ -1,8 +1,11 @@
 """Tests for the ``repro`` console-script CLI."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.pipeline.checkpoint import StudyCheckpoint
 
 SMALL_CORPUS = ["--posts-stackoverflow", "4", "--posts-ethereum", "8",
                 "--independent-contracts", "4"]
@@ -99,6 +102,28 @@ class TestStudyCommands:
                                "--posts-ethereum", "8", "--independent-contracts", "4")
         assert code == 1
         assert "different corpus parameters" in err
+
+    def test_resume_of_checkpoint_naming_retired_bounded_backend(
+            self, tmp_path, capsys):
+        # a checkpoint recorded under the retired "bounded" backend resumes
+        # (as myers, whose pruning decisions it made) to the same report
+        code, fresh, _ = run_cli(capsys, "study", "run", "--checkpoint",
+                                 str(tmp_path / "ck"), "--quiet", *SMALL_CORPUS)
+        assert code == 0
+        metadata = StudyCheckpoint(tmp_path / "ck").metadata
+        assert metadata["configuration"]["similarity_backend"] == "myers"
+        StudyCheckpoint(tmp_path / "legacy").update_metadata(
+            configuration={**metadata["configuration"],
+                           "similarity_backend": "bounded"},
+            corpus=metadata["corpus"])
+        code, resumed, _ = run_cli(capsys, "study", "resume", "--checkpoint",
+                                   str(tmp_path / "legacy"), "--quiet")
+        assert code == 0
+
+        def report_of(text):
+            return text[:text.index("artifact cache")]
+
+        assert report_of(resumed) == report_of(fresh)
 
     def test_resume_without_study_fails(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "study", "resume",
@@ -215,14 +240,14 @@ class TestMatcherCliOptions:
         code, out, _ = run_cli(capsys, "analyze", "snippets", "--analyses", "ccd",
                                "--profile", *SMALL_CORPUS)
         assert code == 0
-        assert "Match pipeline profile [bounded backend]" in out
+        assert "Match pipeline profile [myers backend]" in out
         assert "candidates" in out and "verification" in out
         assert "pruned by length bucket" in out
         assert "abandoned by mean bound" in out
         assert "seconds (summed over queries)" in out
 
-    def test_exact_and_bounded_backends_agree(self, capsys):
-        code, bounded_out, _ = run_cli(capsys, "analyze", "snippets",
+    def test_exact_and_default_backends_agree(self, capsys):
+        code, default_out, _ = run_cli(capsys, "analyze", "snippets",
                                        "--analyses", "ccd", *SMALL_CORPUS)
         assert code == 0
         code, exact_out, _ = run_cli(capsys, "analyze", "snippets",
@@ -235,12 +260,25 @@ class TestMatcherCliOptions:
             return [line for line in text.splitlines()
                     if not line.startswith("analyzed ")]
 
-        assert tally_rows(bounded_out) == tally_rows(exact_out)
+        assert tally_rows(default_out) == tally_rows(exact_out)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
                 ["analyze", "contracts", "--similarity-backend", "fuzzy"])
+
+    def test_retired_bounded_backend_is_no_choice(self, capsys):
+        for command in (["analyze", "contracts"], ["index", "build", "--output", "x"],
+                        ["study", "run"]):
+            args = build_parser().parse_args(
+                [*command, "--similarity-backend", "myers"])
+            assert args.similarity_backend == "myers"
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    [*command, "--similarity-backend", "bounded"])
+            err = capsys.readouterr().err
+            assert "invalid choice: 'bounded'" in err
+            assert re.search(r"choose from '?exact'?, '?myers'?\)", err)
 
     def test_index_build_records_backend(self, tmp_path, capsys):
         index = str(tmp_path / "index")

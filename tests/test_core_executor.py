@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from repro.api import AnalysisSession
 from repro.ccc.checker import ContractChecker
 from repro.ccd.detector import CloneDetector
 from repro.core.artifacts import ArtifactStore
@@ -146,19 +147,28 @@ class TestStreaming:
             assert list(stream) == [n * n for n in range(1, 20)]
 
 
+def _session_payloads(items, analysis, options, store, executor=None):
+    """Payloads of one analyzer run through an :class:`AnalysisSession`."""
+    with AnalysisSession(store=store, executor=executor) as session:
+        return [envelope.payload for envelope in session.run(
+            items, analyses=[analysis], options={analysis: options})]
+
+
 class TestAnalysisParity:
     """Serial, thread, and process backends must produce identical results."""
 
     def _sources(self):
         return [source for _, source in CORPUS]
 
-    def test_checker_analyze_many_parity(self):
+    def test_ccc_session_parity(self):
         store = ArtifactStore()
         checker = ContractChecker(store=store)
-        baseline = checker.analyze_many(self._sources())
+        baseline = _session_payloads(
+            self._sources(), "ccc", {"checker": checker}, store)
         for backend in ("thread", "process"):
             with Executor.create(backend, max_workers=2, chunk_size=2) as executor:
-                results = checker.analyze_many(self._sources(), executor=executor)
+                results = _session_payloads(
+                    self._sources(), "ccc", {"checker": checker}, store, executor)
             assert [r.parse_error for r in results] == [r.parse_error for r in baseline]
             assert [sorted(r.query_ids()) for r in results] == \
                    [sorted(r.query_ids()) for r in baseline]
@@ -177,18 +187,19 @@ class TestAnalysisParity:
                    {doc: fp.text for doc, fp in baseline.fingerprints.items()}
             assert detector.parse_failures == baseline.parse_failures
 
-    def test_detector_find_clones_many_parity(self):
+    def test_ccd_session_parity(self):
         queries = [("q-reentrant", REENTRANT), ("q-garbage", "prose, not code ===")]
         baseline = CloneDetector(similarity_threshold=0.8)
         baseline.add_corpus(CORPUS)
-        expected = baseline.find_clones_many(queries)
-        assert expected[0][1], "reentrant query should match the indexed corpus"
-        assert expected[1][1] is None
+        expected = _session_payloads(queries, "ccd", {"detector": baseline}, None)
+        assert expected[0], "reentrant query should match the indexed corpus"
+        assert expected[1] is None
         for backend in BACKENDS:
             detector = CloneDetector(similarity_threshold=0.8, store=ArtifactStore())
             detector.add_corpus(CORPUS)
             with Executor.create(backend, max_workers=2, chunk_size=1) as executor:
-                results = detector.find_clones_many(queries, executor=executor)
+                results = _session_payloads(
+                    queries, "ccd", {"detector": detector}, detector.store, executor)
             assert results == expected
 
 

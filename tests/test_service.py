@@ -18,6 +18,7 @@ import pytest
 
 from repro.api import AnalysisSession, SessionConfig, canonical_json
 from repro.ccd.detector import CloneDetector
+from repro.ccd.matcher import MyersSimilarityBackend
 from repro.service import (
     AnalysisService,
     JobStore,
@@ -600,6 +601,49 @@ class TestReviewRegressions:
             assert second.detector.ngram_threshold == 0.6
         finally:
             second.stop()
+
+    def test_reloaded_index_follows_configured_backend(
+            self, tmp_path, corpora):
+        # δ is pure, so neither the persisted index nor the score memo
+        # depends on the verification backend: a restart under another
+        # backend must use it and serve byte-identical ccd results
+        contracts, _ = corpora
+        with AnalysisService(make_config(
+                tmp_path, similarity_backend="exact")) as first:
+            first.ingest(contracts)
+            client = ServiceClient(first.url)
+            assert client.stats()["index"]["similarity_backend"] == "exact"
+            job = client.submit(contracts[:6], analyses=["ccd"])
+            baseline = [canonical_json(envelope)
+                        for envelope in client.wait(job["id"])["results"]]
+        with AnalysisService(make_config(
+                tmp_path, similarity_backend="myers")) as second:
+            assert isinstance(second.detector.matcher.backend,
+                              MyersSimilarityBackend)
+            client = ServiceClient(second.url)
+            assert client.stats()["index"]["similarity_backend"] == "myers"
+            job = client.submit(contracts[:6], analyses=["ccd"])
+            served = [canonical_json(envelope)
+                      for envelope in client.wait(job["id"])["results"]]
+            assert served == baseline
+            assert second.detector.match_stats.pairs_scored > 0
+
+    def test_malformed_analyzer_options_are_400(self, service, client):
+        source = [("a", "contract A {}")]
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(source, analyses=["ccd"], options={"ccd": "x"})
+        assert excinfo.value.status == 400
+        assert "'options.ccd' must be an object" in excinfo.value.message
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(source, analyses=["ccd"], options={
+                "ccd": {"resident": False, "similarity_backend": "bogus"}})
+        assert excinfo.value.status == 400
+        assert "unknown similarity backend" in excinfo.value.message
+        # nothing reached the queue; the retired name still resolves
+        assert client.jobs() == []
+        job = client.submit(source, analyses=["ccd"], options={
+            "ccd": {"resident": False, "similarity_backend": "bounded"}})
+        assert client.wait(job["id"])["job"]["state"] == "done"
 
     def test_duplicate_ids_in_one_ingest_batch_collapse(
             self, tmp_path, corpora):

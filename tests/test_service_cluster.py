@@ -396,6 +396,38 @@ class TestClusterParity:
             for worker in workers:
                 assert ServiceClient(worker.url).jobs() == []
 
+    def test_malformed_analyzer_options_are_400_without_touching_workers(
+            self, tmp_path):
+        with in_process_cluster(tmp_path, 2) as (coordinator, workers):
+            client = ServiceClient(coordinator.url, connect_timeout=5.0)
+            for options in ({"ccd": "x"},
+                            {"ccd": {"resident": False,
+                                     "similarity_backend": "bogus"}}):
+                with pytest.raises(ServiceError) as excinfo:
+                    client.submit([["q", "x = 1"]], analyses=["ccd"],
+                                  options=options)
+                assert excinfo.value.status == 400
+            assert client.jobs() == []
+            for worker in workers:
+                assert ServiceClient(worker.url).jobs() == []
+
+    def test_retired_bounded_backend_option_runs_as_default(self, tmp_path,
+                                                            corpora):
+        # job options naming the retired "bounded" backend still pass the
+        # coordinator's validation and give the default backend's bytes
+        contracts, snippets = corpora
+        sources = snippets[:6]
+        expected = single_node_bytes(
+            tmp_path, "single-nr", contracts, sources, ["ccd"],
+            {"ccd": {"resident": False}})
+        options = {"ccd": {"resident": False, "similarity_backend": "bounded"}}
+        with in_process_cluster(tmp_path, 2) as (coordinator, _workers):
+            ServiceClient(coordinator.url, connect_timeout=5.0).ingest(contracts)
+            merged, job = run_job_bytes(
+                coordinator.url, sources, ["ccd"], options)
+        assert merged == expected
+        assert job["fanout"]["degraded"] == []
+
 
 class TestDegradedMode:
     def test_dead_worker_degrades_health_stats_and_jobs(self, tmp_path,
