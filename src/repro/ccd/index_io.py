@@ -22,7 +22,7 @@ Documents are distributed over shards by the SHA-256 prefix of their
 document id, so a fixed corpus always produces the same shard layout
 (stable, diffable) and shards can be regenerated or distributed
 independently.  All files are written atomically
-(:func:`repro.core.persistence.atomic_write_bytes`), so a killed save
+(:func:`repro.core.fileio.atomic_write_bytes`), so a killed save
 never leaves a torn shard behind.
 """
 

@@ -41,6 +41,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, Iterable, Optional, Tuple, Union
 
+from repro.core.sqlite import Database, quarantine
+
 #: file name of the persisted score tier, conventionally inside a saved
 #: index directory (see :mod:`repro.ccd.index_io`)
 SCORE_MEMO_NAME = "scores.sqlite"
@@ -131,44 +133,30 @@ class ScoreMemoTable:
         self.stats = ScoreMemoStats()
         self.path = Path(path) if path is not None else None
         self._lock = threading.Lock()
-        self._connection: Optional[sqlite3.Connection] = None
+        #: the disk tier; ``None`` while the table is purely in-memory
+        self._connection: Optional[Database] = None
         if self.path is not None:
             self._open()
 
     # -- the disk tier --------------------------------------------------------
-    def _connect(self, path: Path) -> sqlite3.Connection:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        connection = sqlite3.connect(
-            str(path), check_same_thread=False, isolation_level=None)
-        connection.executescript(_SCHEMA)
-        connection.execute("PRAGMA journal_mode=WAL")
-        connection.execute("PRAGMA busy_timeout=30000")
-        return connection
-
     def _open(self) -> None:
         try:
-            self._connection = self._connect(self.path)
+            self._connection = Database(self.path, _SCHEMA)
         except sqlite3.DatabaseError:
             # an unreadable tier degrades to a cold one, like the artifact cache
-            try:
-                self.path.rename(str(self.path) + ".corrupt")
-            except OSError:
-                pass
-            self._connection = self._connect(self.path)
-        version = self._connection.execute(
-            "SELECT value FROM meta WHERE key = 'format_version'").fetchone()
-        if version is None:
-            self._connection.execute(
-                "REPLACE INTO meta (key, value) VALUES ('format_version', ?)",
-                (str(SCORE_MEMO_FORMAT_VERSION),))
-        elif version[0] != str(SCORE_MEMO_FORMAT_VERSION):
-            self._connection.execute("DELETE FROM scores")
+            quarantine(self.path)
+            self._connection = Database(self.path, _SCHEMA)
+        version = self._connection.fetchone(
+            "SELECT value FROM meta WHERE key = 'format_version'")
+        if version is None or version[0] != str(SCORE_MEMO_FORMAT_VERSION):
+            if version is not None:
+                self._connection.execute("DELETE FROM scores")
             self._connection.execute(
                 "REPLACE INTO meta (key, value) VALUES ('format_version', ?)",
                 (str(SCORE_MEMO_FORMAT_VERSION),))
         try:
-            rows = self._connection.execute(
-                "SELECT first, second, score FROM scores").fetchall()
+            rows = self._connection.fetchall(
+                "SELECT first, second, score FROM scores")
         except sqlite3.DatabaseError:
             rows = []
         for first, second, score in rows:
@@ -203,7 +191,7 @@ class ScoreMemoTable:
         self._connection = None
         if self.path is not None:
             try:
-                self._connection = self._connect(self.path)
+                self._connection = Database(self.path, _SCHEMA)
             except sqlite3.DatabaseError:
                 self.stats.disk_errors += 1
 
@@ -330,13 +318,13 @@ class ScoreMemoTable:
             if self._connection is not None:
                 self._connection.close()
             self.path = path
-            self._connection = self._connect(path)
+            self._connection = Database(path, _SCHEMA)
             self._connection.execute(
                 "REPLACE INTO meta (key, value) VALUES ('format_version', ?)",
                 (str(SCORE_MEMO_FORMAT_VERSION),))
             rows = [(key[0], key[1], score)
                     for key, score in self._scores.items()]
-            self._connection.executemany(
+            self._connection.connection.executemany(
                 "REPLACE INTO scores (first, second, score) VALUES (?, ?, ?)",
                 rows)
             return len(rows)
@@ -347,8 +335,7 @@ class ScoreMemoTable:
             if self._connection is None:
                 return 0
             try:
-                return self._connection.execute(
-                    "SELECT COUNT(*) FROM scores").fetchone()[0]
+                return self._connection.fetchone("SELECT COUNT(*) FROM scores")[0]
             except sqlite3.DatabaseError:
                 return 0
 

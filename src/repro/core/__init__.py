@@ -10,6 +10,9 @@ cpg, ccd, ccc, pipeline) and the scaling work described in ROADMAP.md:
   :class:`~repro.core.persistence.DiskArtifactStore` that writes artifacts
   through to disk so the *next* run (or another process) starts warm, plus
   the atomic-file helpers behind index serialization and study checkpoints,
+* :mod:`repro.core.sqlite` — the one SQLite layer every durable store
+  (artifact cache, score memo, job queue, source journals) opens,
+  migrates and commits through,
 * :mod:`repro.core.executor` — serial / thread / process
   :class:`~repro.core.executor.Executor` backends with chunked
   ``map_batches`` (and streaming ``imap_batches``) used by every hot

@@ -9,31 +9,23 @@ materialized, keyed by the source's content hash.  A warm rerun over the
 same corpus therefore performs **zero** parses: artifacts hydrate from
 disk into the LRU memory tier in front.
 
-The module re-exports the atomic-file helpers of
-:mod:`repro.core.fileio` (:func:`atomic_write_bytes`, :func:`dump_pickle`,
-:func:`try_load_pickle`, :func:`dump_json`, :func:`try_load_json`) shared
-by the CCD index serialization (:mod:`repro.ccd.index_io`) and the study
-checkpoints (:mod:`repro.pipeline.checkpoint`): payloads are written to a
-temporary sibling and moved into place with :func:`os.replace`, so a
-killed run never leaves a half-written file behind.
-
 Thread-safety and pickling
 --------------------------
-:class:`DiskArtifactStore` is thread-safe (one connection guarded by a
-lock, ``check_same_thread=False``) and multi-process friendly (WAL
-journal, busy timeout): process-backend executor workers rebuild the
-store from its :class:`~repro.core.artifacts.ArtifactStoreSpec` — whose
-``path`` field round-trips the cache directory — and share the same
-on-disk tier.  The store itself is *not* picklable; ship the spec.
+:class:`DiskArtifactStore` opens its database through
+:mod:`repro.core.sqlite`, like every durable store: one connection
+guarded by a lock, a WAL journal, a busy timeout and retried writes.  It
+is therefore thread-safe and multi-process friendly: process-backend
+executor workers rebuild the store from its
+:class:`~repro.core.artifacts.ArtifactStoreSpec` — whose ``path`` field
+round-trips the cache directory — and share the same on-disk tier.  The
+store itself is *not* picklable; ship the spec.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import pickle
 import sqlite3
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,52 +37,13 @@ from repro.core.artifacts import (
     ArtifactStoreStats,
     SourceArtifact,
 )
-from repro.core.fileio import (
-    atomic_write_bytes,
-    dump_json,
-    dump_pickle,
-    try_load_json,
-    try_load_pickle,
-)
+from repro.core.sqlite import Database, quarantine
 
 #: bump when the pickled payload layout changes; mismatched caches are rejected
 FORMAT_VERSION = 1
 
 #: file name of the SQLite database inside a cache directory
 DATABASE_NAME = "artifacts.sqlite"
-
-#: default SQLite busy timeout (seconds) for every connection this module
-#: (and the service :class:`~repro.service.jobstore.JobStore`) opens
-DEFAULT_BUSY_TIMEOUT_SECONDS = 30.0
-
-
-def is_busy_error(error: sqlite3.OperationalError) -> bool:
-    """Whether an :class:`sqlite3.OperationalError` is SQLITE_BUSY/LOCKED.
-
-    The stdlib driver surfaces both as ``OperationalError`` with a
-    message, not a code, so the message is what can be matched.
-    """
-    message = str(error).lower()
-    return "database is locked" in message or "database table is locked" in message
-
-
-def retry_on_busy(operation, attempts: int = 6, base_delay: float = 0.02):
-    """Run ``operation()`` retrying on SQLITE_BUSY with linear backoff.
-
-    The busy timeout already makes SQLite wait *inside* one call, but a
-    writer can still lose the race the moment the timeout elapses (WAL
-    checkpoints, many processes hammering one cache).  This wrapper is
-    the second line of defense shared by :class:`DiskArtifactStore` and
-    the service job store: up to ``attempts`` tries, sleeping
-    ``base_delay * try`` between them, re-raising the final error.
-    """
-    for attempt in range(1, attempts + 1):
-        try:
-            return operation()
-        except sqlite3.OperationalError as error:
-            if not is_busy_error(error) or attempt == attempts:
-                raise
-            time.sleep(base_delay * attempt)
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS artifacts (
@@ -114,7 +67,8 @@ CREATE TABLE IF NOT EXISTS functions (
 """
 
 
-def _evict(connection: sqlite3.Connection, max_entries: Optional[int],
+def _evict(connection: Union[sqlite3.Connection, Database],
+           max_entries: Optional[int],
            max_age_seconds: Optional[float]) -> int:
     """Shared eviction policy of :meth:`DiskArtifactStore.gc` and the CLI.
 
@@ -223,7 +177,6 @@ class DiskArtifactStore(ArtifactStore):
         ngram_size: int = 3,
         fingerprint_block_size: int = 2,
         fingerprint_window: int = 4,
-        busy_timeout_seconds: float = DEFAULT_BUSY_TIMEOUT_SECONDS,
     ):
         super().__init__(
             max_entries=max_entries,
@@ -232,11 +185,8 @@ class DiskArtifactStore(ArtifactStore):
             fingerprint_window=fingerprint_window,
         )
         self.stats = DiskArtifactStoreStats()
-        self.busy_timeout_seconds = busy_timeout_seconds
         self.directory = Path(directory)
         self.database_path = self.directory / DATABASE_NAME
-        self._db_lock = threading.Lock()
-        self._connection: Optional[sqlite3.Connection] = None
         self._open()
         self.function_digests.attach(
             fetch=self._fetch_function_digest,
@@ -251,24 +201,14 @@ class DiskArtifactStore(ArtifactStore):
             "fingerprint_window": self.generator.hasher.window,
         }
 
-    def _connect(self) -> sqlite3.Connection:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        connection = sqlite3.connect(
-            str(self.database_path), check_same_thread=False, isolation_level=None)
-        connection.executescript(_SCHEMA)
-        connection.execute("PRAGMA journal_mode=WAL")
-        connection.execute(
-            f"PRAGMA busy_timeout={int(self.busy_timeout_seconds * 1000)}")
-        return connection
-
     def _open(self) -> None:
         try:
-            self._connection = self._connect()
+            self._connection = Database(self.database_path, _SCHEMA)
         except sqlite3.DatabaseError:
             # unreadable database file: quarantine and start over
             self.stats.increment("disk_corruptions")
-            self._quarantine_database()
-            self._connection = self._connect()
+            quarantine(self.database_path)
+            self._connection = Database(self.database_path, _SCHEMA)
         recorded = self._read_meta("configuration")
         configuration = self._configuration()
         if recorded is None:
@@ -280,18 +220,9 @@ class DiskArtifactStore(ArtifactStore):
                 f"{recorded}, which does not match {configuration}; use a "
                 f"separate cache directory per CCD configuration")
 
-    def _quarantine_database(self) -> None:
-        for suffix in ("", "-wal", "-shm"):
-            stale = Path(str(self.database_path) + suffix)
-            if stale.exists():
-                try:
-                    os.replace(stale, str(stale) + ".corrupt")
-                except OSError:
-                    stale.unlink(missing_ok=True)
-
     def _read_meta(self, key: str) -> Optional[dict]:
-        row = self._connection.execute(
-            "SELECT value FROM meta WHERE key = ?", (key,)).fetchone()
+        row = self._connection.fetchone(
+            "SELECT value FROM meta WHERE key = ?", (key,))
         if row is None:
             return None
         try:
@@ -305,10 +236,7 @@ class DiskArtifactStore(ArtifactStore):
 
     def close(self) -> None:
         """Close the SQLite connection (cached lookups keep working in-memory)."""
-        with self._db_lock:
-            if self._connection is not None:
-                self._connection.close()
-                self._connection = None
+        self._connection.close()
 
     def __enter__(self) -> "DiskArtifactStore":
         return self
@@ -331,13 +259,12 @@ class DiskArtifactStore(ArtifactStore):
         return artifact
 
     def _load_payload(self, key: str) -> Optional[dict]:
-        with self._db_lock:
-            if self._connection is None:
+        with self._connection.lock:
+            if self._connection.closed:
                 return None
             try:
-                rows = self._connection.execute(
-                    "SELECT field, payload FROM artifacts WHERE key = ?",
-                    (key,)).fetchall()
+                rows = self._connection.fetchall(
+                    "SELECT field, payload FROM artifacts WHERE key = ?", (key,))
             except sqlite3.DatabaseError:
                 self.stats.increment("disk_corruptions")
                 return None
@@ -366,49 +293,42 @@ class DiskArtifactStore(ArtifactStore):
                 pass
             return payload
 
+    def _write(self, sql: str, parameters: tuple) -> None:
+        """One write-through; a failure is counted, never raised."""
+        with self._connection.lock:
+            if self._connection.closed:
+                return
+            try:
+                self._connection.execute(sql, parameters)
+                self.stats.increment("disk_writes")
+            except sqlite3.DatabaseError:
+                self.stats.increment("disk_errors")
+
     def _persist(self, artifact: SourceArtifact, field: str) -> None:
         value = getattr(artifact, "_" + field)
         if value is None:
             return
         blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         now = time.time()
-        with self._db_lock:
-            if self._connection is None:
-                return
-            try:
-                retry_on_busy(lambda: self._connection.execute(
-                    "REPLACE INTO artifacts (key, field, payload, size, created, "
+        self._write("REPLACE INTO artifacts (key, field, payload, size, created, "
                     "last_used) VALUES (?, ?, ?, ?, ?, ?)",
-                    (artifact.key, field, blob, len(blob), now, now)))
-                self.stats.increment("disk_writes")
-            except sqlite3.DatabaseError:
-                self.stats.increment("disk_errors")
+                    (artifact.key, field, blob, len(blob), now, now))
 
     def _fetch_function_digest(self, key: str) -> Optional[str]:
-        with self._db_lock:
-            if self._connection is None:
+        with self._connection.lock:
+            if self._connection.closed:
                 return None
             try:
-                row = self._connection.execute(
-                    "SELECT digest FROM functions WHERE key = ?",
-                    (key,)).fetchone()
+                row = self._connection.fetchone(
+                    "SELECT digest FROM functions WHERE key = ?", (key,))
             except sqlite3.DatabaseError:
                 self.stats.increment("disk_corruptions")
                 return None
         return row[0] if row is not None else None
 
     def _persist_function_digest(self, key: str, digest: str) -> None:
-        now = time.time()
-        with self._db_lock:
-            if self._connection is None:
-                return
-            try:
-                retry_on_busy(lambda: self._connection.execute(
-                    "REPLACE INTO functions (key, digest, created) "
-                    "VALUES (?, ?, ?)", (key, digest, now)))
-                self.stats.increment("disk_writes")
-            except sqlite3.DatabaseError:
-                self.stats.increment("disk_errors")
+        self._write("REPLACE INTO functions (key, digest, created) "
+                    "VALUES (?, ?, ?)", (key, digest, time.time()))
 
     # -- introspection / maintenance ------------------------------------------
     @property
@@ -424,11 +344,11 @@ class DiskArtifactStore(ArtifactStore):
 
     def disk_entries(self) -> int:
         """Number of artifacts (distinct sources) persisted in the disk tier."""
-        with self._db_lock:
-            if self._connection is None:
+        with self._connection.lock:
+            if self._connection.closed:
                 return 0
-            return self._connection.execute(
-                "SELECT COUNT(DISTINCT key) FROM artifacts").fetchone()[0]
+            return self._connection.fetchone(
+                "SELECT COUNT(DISTINCT key) FROM artifacts")[0]
 
     def gc(
         self,
@@ -442,8 +362,8 @@ class DiskArtifactStore(ArtifactStore):
         ``max_entries`` then keeps only the most recently used ones.
         ``vacuum`` reclaims the freed file space.
         """
-        with self._db_lock:
-            if self._connection is None:
+        with self._connection.lock:
+            if self._connection.closed:
                 return 0
             deleted = _evict(self._connection, max_entries, max_age_seconds)
             if vacuum:
@@ -455,8 +375,8 @@ class DiskArtifactStore(ArtifactStore):
         super().clear()
         if disk:
             self.function_digests.clear()
-            with self._db_lock:
-                if self._connection is not None:
+            with self._connection.lock:
+                if not self._connection.closed:
                     self._connection.execute("DELETE FROM artifacts")
                     self._connection.execute("DELETE FROM functions")
 
@@ -526,15 +446,7 @@ class DiskArtifactStore(ArtifactStore):
 __all__ = [
     "CacheConfigurationError",
     "DATABASE_NAME",
-    "DEFAULT_BUSY_TIMEOUT_SECONDS",
     "DiskArtifactStore",
     "DiskArtifactStoreStats",
     "FORMAT_VERSION",
-    "is_busy_error",
-    "retry_on_busy",
-    "atomic_write_bytes",
-    "dump_json",
-    "dump_pickle",
-    "try_load_json",
-    "try_load_pickle",
 ]

@@ -14,7 +14,7 @@ pipeline stage (``collection``, ``clone_mapping``, ``checking``,
 (the study configuration and, for the CLI, the corpus generation
 parameters needed to rebuild identical inputs on ``repro study resume``).
 
-All writes are atomic (:mod:`repro.core.persistence`), so a run killed at
+All writes are atomic (:mod:`repro.core.fileio`), so a run killed at
 any instant leaves either the previous or the new state on disk — never a
 torn file.  A resumed run replays completed stages/chunks from disk and
 recomputes only the remainder; because every stage is deterministic, the

@@ -46,17 +46,15 @@ results instead of hanging or silently pretending nothing is missing.
 from __future__ import annotations
 
 import json
-import sqlite3
 import threading
 import time
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.api.envelope import canonical_json
 from repro.api.registry import REGISTRY
-from repro.core.persistence import DEFAULT_BUSY_TIMEOUT_SECONDS, retry_on_busy
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.gateway import AsyncGateway, GatewayConfig
 from repro.service.hashring import DEFAULT_RING_REPLICAS, HashRing, partition
@@ -66,7 +64,7 @@ from repro.service.jobstore import (
     Job,
     JobStore,
 )
-from repro.service.delta import DeltaError, resolve_ingest_documents
+from repro.service.delta import DeltaError, SourceJournal, resolve_ingest_documents
 from repro.service.routes import COORDINATOR_ROUTES
 from repro.service.scheduler import ReadWriteLock
 from repro.service.server import (
@@ -166,93 +164,41 @@ def merge_shard_results(
 
 
 # -- the durable routing journal ----------------------------------------------
-class CorpusJournal:
+class CorpusJournal(SourceJournal):
     """Durable ``document id -> (source, shard)`` routing journal.
 
     Workers hold fingerprints, not sources, so rebalancing a document to
     another shard needs its original source back — the coordinator keeps
-    it here (one SQLite database in its data directory), alongside the
-    shard each id was routed to.  Ids are stored as their JSON encoding
-    so string and integer ids can never collide.
+    it here (``corpus.sqlite`` in its data directory), tagged with the
+    shard each id was routed to.  It is a :class:`SourceJournal`, so it
+    also resolves diff ingests against the journaled source.
     """
 
-    _SCHEMA = """
-    CREATE TABLE IF NOT EXISTS documents (
-        id     TEXT PRIMARY KEY,
-        source TEXT NOT NULL,
-        shard  TEXT NOT NULL
-    );
-    """
+    TABLE = "documents"
+    TAG = "shard"
 
-    def __init__(self, path: Union[str, Path],
-                 busy_timeout_seconds: float = DEFAULT_BUSY_TIMEOUT_SECONDS):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-        self._connection: Optional[sqlite3.Connection] = sqlite3.connect(
-            str(self.path), check_same_thread=False, isolation_level=None)
-        self._connection.executescript(self._SCHEMA)
-        self._connection.execute("PRAGMA journal_mode=WAL")
-        self._connection.execute(
-            f"PRAGMA busy_timeout={int(busy_timeout_seconds * 1000)}")
-
-    def close(self) -> None:
-        """Close the database connection (idempotent)."""
-        with self._lock:
-            if self._connection is not None:
-                self._connection.close()
-                self._connection = None
-
-    def _execute(self, sql: str, parameters: tuple = ()):
-        if self._connection is None:
-            raise RuntimeError("CorpusJournal is closed")
-        return retry_on_busy(lambda: self._connection.execute(sql, parameters))
-
-    def record(self, document_id: Hashable, source: str, shard: str) -> None:
-        """Remember (or update) one routed document."""
-        with self._lock:
-            self._execute(
-                "REPLACE INTO documents (id, source, shard) VALUES (?, ?, ?)",
-                (json.dumps(document_id), source, shard))
+    def shard(self, document_id: Hashable, default: str) -> str:
+        """The shard one document was routed to, or ``default``."""
+        row = self._connection.fetchone(
+            "SELECT shard FROM documents WHERE id = ?",
+            (json.dumps(document_id),))
+        return row[0] if row is not None else default
 
     def reassign(self, document_id: Hashable, shard: str) -> None:
         """Move one journaled document to another shard."""
-        with self._lock:
-            self._execute("UPDATE documents SET shard = ? WHERE id = ?",
-                          (shard, json.dumps(document_id)))
-
-    def forget(self, document_id: Hashable) -> None:
-        """Drop one document from the journal (idempotent)."""
-        with self._lock:
-            self._execute("DELETE FROM documents WHERE id = ?",
-                          (json.dumps(document_id),))
+        self._connection.execute(
+            "UPDATE documents SET shard = ? WHERE id = ?",
+            (shard, json.dumps(document_id)))
 
     def assignments(self) -> Dict[Hashable, str]:
         """Every journaled id mapped to its recorded shard."""
-        with self._lock:
-            rows = self._execute("SELECT id, shard FROM documents").fetchall()
+        rows = self._connection.fetchall("SELECT id, shard FROM documents")
         return {json.loads(raw_id): shard for raw_id, shard in rows}
-
-    def sources(self, document_ids: Iterable[Hashable]) -> List[Tuple[Hashable, str]]:
-        """``(id, source)`` pairs of the given journaled ids, in id order."""
-        wanted = {json.dumps(document_id) for document_id in document_ids}
-        with self._lock:
-            rows = self._execute("SELECT id, source FROM documents").fetchall()
-        pairs = [(json.loads(raw_id), source)
-                 for raw_id, source in rows if raw_id in wanted]
-        pairs.sort(key=lambda pair: str(pair[0]))
-        return pairs
-
-    def count(self) -> int:
-        """How many documents the journal holds."""
-        with self._lock:
-            return self._execute("SELECT COUNT(*) FROM documents").fetchone()[0]
 
     def per_shard_counts(self) -> Dict[str, int]:
         """Documents per shard, as recorded."""
-        with self._lock:
-            rows = self._execute(
-                "SELECT shard, COUNT(*) FROM documents GROUP BY shard").fetchall()
+        rows = self._connection.fetchall(
+            "SELECT shard, COUNT(*) FROM documents GROUP BY shard")
         return dict(rows)
 
 
@@ -534,16 +480,16 @@ class ClusterCoordinator:
             # full documents regardless of how the client phrased them
             try:
                 documents = resolve_ingest_documents(
-                    documents, self._journal_source)
+                    documents, self.journal.get)
             except DeltaError as error:
                 raise ServiceValidationError(str(error)) from error
         documents = list({document_id: (document_id, source)
                           for document_id, source in documents}.values())
         with self._work_lock.write():  # exclusive: no fan-out during routing
-            recorded = self.journal.assignments()
             remove_batches: Dict[str, List[Hashable]] = {}
             for document_id in remove:
-                shard = recorded.get(document_id, self.ring.owner(document_id))
+                shard = self.journal.shard(document_id,
+                                           self.ring.owner(document_id))
                 remove_batches.setdefault(shard, []).append(document_id)
             batches = partition(documents, self.ring)
             ingested = 0
@@ -575,11 +521,6 @@ class ClusterCoordinator:
             "documents": self.journal.count(),
             "routed": routed,
         }
-
-    def _journal_source(self, document_id: Hashable) -> Optional[str]:
-        """The journaled source of one document (delta-ingest base)."""
-        pairs = self.journal.sources([document_id])
-        return pairs[0][1] if pairs else None
 
     def rebalance(self) -> dict:
         """Move every document whose ring owner changed; touch nothing else.

@@ -17,10 +17,12 @@ Both forms normalize to plain ``(id, source)`` pairs before they reach
 the detector, so every downstream layer (index, shards, cluster routing)
 is oblivious to how the source arrived.
 
-:class:`SourceJournal` is the worker-side retention tier backing the
-diff form (the cluster coordinator already retains sources in its
-routing journal): one SQLite table of ``id -> (source, content key)``
-in the daemon's data directory, recorded at ingest time.
+:class:`SourceJournal` retains every ingested source, recorded at ingest
+time, so a diff has a base to apply to: one SQLite table of ``id ->
+(source, tag)``.  A worker keeps ``sources.sqlite`` in its data directory,
+tagging each source with its content key; the cluster coordinator's
+:class:`~repro.service.coordinator.CorpusJournal` is the same journal in
+``corpus.sqlite``, tagging each source with the shard it was routed to.
 
 Everything here is stdlib-only, like the rest of the service.
 """
@@ -30,13 +32,11 @@ from __future__ import annotations
 import difflib
 import json
 import re
-import sqlite3
-import threading
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, List, Optional, Tuple, Union
 
 from repro.core.artifacts import content_key
-from repro.core.persistence import DEFAULT_BUSY_TIMEOUT_SECONDS, retry_on_busy
+from repro.core.sqlite import Database
 
 #: file name of the source-retention database inside a service data dir
 SOURCES_DATABASE_NAME = "sources.sqlite"
@@ -219,40 +219,35 @@ def resolve_ingest_documents(
 
 
 class SourceJournal:
-    """Worker-side ``id -> (source, content key)`` retention journal.
+    """Durable ``id -> (source, tag)`` journal of ingested documents.
 
-    Backs the diff ingest form and the ``changed_only`` watch workload
-    on a single-node daemon.  Ids are stored as their JSON encoding so
-    string and integer ids can never collide (the cluster coordinator's
-    routing journal uses the same convention).
+    On a worker it backs the diff ingest form and the ``changed_only``
+    watch workload, and the tag is the source's content key.  Ids are
+    stored as their JSON encoding so string and integer ids can never
+    collide.  Subclasses name another table and tag column
+    (:class:`~repro.service.coordinator.CorpusJournal`).
     """
 
+    #: the journal's table, and the column that tags each source
+    TABLE = "sources"
+    TAG = "key"
+
     _SCHEMA = """
-    CREATE TABLE IF NOT EXISTS sources (
+    CREATE TABLE IF NOT EXISTS {table} (
         id     TEXT PRIMARY KEY,
         source TEXT NOT NULL,
-        key    TEXT NOT NULL
+        {tag:<6} TEXT NOT NULL
     );
     """
 
-    def __init__(self, path: Union[str, Path],
-                 busy_timeout_seconds: float = DEFAULT_BUSY_TIMEOUT_SECONDS):
+    def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-        self._connection: Optional[sqlite3.Connection] = sqlite3.connect(
-            str(self.path), check_same_thread=False, isolation_level=None)
-        self._connection.executescript(self._SCHEMA)
-        self._connection.execute("PRAGMA journal_mode=WAL")
-        self._connection.execute(
-            f"PRAGMA busy_timeout={int(busy_timeout_seconds * 1000)}")
+        self._connection = Database(
+            self.path, self._SCHEMA.format(table=self.TABLE, tag=self.TAG))
 
     def close(self) -> None:
         """Close the database connection (idempotent)."""
-        with self._lock:
-            if self._connection is not None:
-                self._connection.close()
-                self._connection = None
+        self._connection.close()
 
     def __enter__(self) -> "SourceJournal":
         return self
@@ -260,48 +255,34 @@ class SourceJournal:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _execute(self, sql: str, parameters: tuple = ()):
-        if self._connection is None:
-            raise RuntimeError("SourceJournal is closed")
-        return retry_on_busy(lambda: self._connection.execute(sql, parameters))
-
-    def record(self, document_id: Hashable, source: str,
-               key: Optional[str] = None) -> None:
-        """Remember (or update) one ingested document's source."""
-        with self._lock:
-            self._execute(
-                "REPLACE INTO sources (id, source, key) VALUES (?, ?, ?)",
-                (json.dumps(document_id), source,
-                 key if key is not None else content_key(source)))
+    def record(self, document_id: Hashable, source: str, tag: str) -> None:
+        """Remember (or update) one ingested document's source and tag."""
+        self._connection.execute(
+            f"REPLACE INTO {self.TABLE} (id, source, {self.TAG}) "
+            f"VALUES (?, ?, ?)", (json.dumps(document_id), source, tag))
 
     def forget(self, document_id: Hashable) -> None:
         """Drop one document from the journal (idempotent)."""
-        with self._lock:
-            self._execute("DELETE FROM sources WHERE id = ?",
-                          (json.dumps(document_id),))
+        self._connection.execute(f"DELETE FROM {self.TABLE} WHERE id = ?",
+                                 (json.dumps(document_id),))
 
     def get(self, document_id: Hashable) -> Optional[str]:
         """The retained source of one document, or ``None``."""
-        with self._lock:
-            row = self._execute(
-                "SELECT source FROM sources WHERE id = ?",
-                (json.dumps(document_id),)).fetchone()
+        row = self._connection.fetchone(
+            f"SELECT source FROM {self.TABLE} WHERE id = ?",
+            (json.dumps(document_id),))
         return row[0] if row is not None else None
 
     def sources(self, document_ids: Iterable[Hashable]) -> List[Tuple[Hashable, str]]:
         """``(id, source)`` pairs of the given journaled ids, in id order."""
-        wanted = {json.dumps(document_id) for document_id in document_ids}
-        with self._lock:
-            rows = self._execute("SELECT id, source FROM sources").fetchall()
-        pairs = [(json.loads(raw_id), source)
-                 for raw_id, source in rows if raw_id in wanted]
-        pairs.sort(key=lambda pair: str(pair[0]))
-        return pairs
+        pairs = [(document_id, self.get(document_id))
+                 for document_id in set(document_ids)]
+        return sorted((pair for pair in pairs if pair[1] is not None),
+                      key=lambda pair: str(pair[0]))
 
     def count(self) -> int:
         """How many documents the journal holds."""
-        with self._lock:
-            return self._execute("SELECT COUNT(*) FROM sources").fetchone()[0]
+        return self._connection.fetchone(f"SELECT COUNT(*) FROM {self.TABLE}")[0]
 
 
 __all__ = [

@@ -350,9 +350,12 @@ class AsyncGateway:
         self._stop_event = asyncio.Event()
         self._admission_lock = asyncio.Lock()
         try:
+            # an accept queue as deep as the connection cap: a burst waits
+            # for the loop (or its explicit 503) instead of being reset
             self._server = await asyncio.start_server(
                 self._handle_connection, self.config.host, self.config.port,
-                limit=self.config.max_header_bytes)
+                limit=self.config.max_header_bytes,
+                backlog=self.config.max_connections)
         except OSError as error:
             self._startup_error = error
             self._ready.set()

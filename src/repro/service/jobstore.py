@@ -41,24 +41,22 @@ byte-identical to a local :meth:`~repro.api.session.AnalysisSession.run`
 — and lets ``GET /v1/jobs/{id}/stream`` serve envelopes incrementally
 while the job is still running.
 
-Concurrency follows :mod:`repro.core.persistence`: one connection behind
-a lock (``check_same_thread=False``), WAL journal, an explicit busy
-timeout, and :func:`~repro.core.persistence.retry_on_busy` around writes
-so concurrent daemons (or a daemon racing the CLI) degrade to waiting
-instead of failing.
+The database opens, migrates and commits through :mod:`repro.core.sqlite`
+like every durable store: one connection behind a lock, a WAL journal, a
+busy timeout and retried statements, so concurrent daemons (or a daemon
+racing the CLI) degrade to waiting instead of failing.  Every
+read-then-write sequence runs in one ``BEGIN IMMEDIATE`` transaction.
 """
 
 from __future__ import annotations
 
 import json
-import sqlite3
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
-from repro.core.persistence import DEFAULT_BUSY_TIMEOUT_SECONDS, retry_on_busy
+from repro.core.sqlite import Database
 
 #: the job lifecycle, in order
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
@@ -91,12 +89,7 @@ CREATE TABLE IF NOT EXISTS jobs (
     error     TEXT,
     submitted REAL NOT NULL,
     started   REAL,
-    finished  REAL,
-    fanout    TEXT,
-    priority  TEXT NOT NULL DEFAULT 'batch',
-    tenant    TEXT,
-    workload  TEXT,
-    cancel_requested INTEGER NOT NULL DEFAULT 0
+    finished  REAL
 );
 CREATE INDEX IF NOT EXISTS jobs_by_state ON jobs (state, id);
 CREATE TABLE IF NOT EXISTS job_results (
@@ -116,6 +109,18 @@ CREATE TABLE IF NOT EXISTS job_chunks (
     PRIMARY KEY (job_id, chunk)
 );
 """
+
+#: ``jobs`` columns added after its first release, in column order; an
+#: older database gains whichever it lacks when it is opened
+_COLUMNS = {"jobs": {
+    # shard fan-out bookkeeping of the cluster coordinator
+    "fanout": "TEXT",
+    # pre-lane rows land in the batch lane, keeping their FIFO position
+    "priority": f"TEXT NOT NULL DEFAULT '{DEFAULT_PRIORITY}'",
+    "tenant": "TEXT",
+    "workload": "TEXT",
+    "cancel_requested": "INTEGER NOT NULL DEFAULT 0",
+}}
 
 
 def _isoformat(timestamp: Optional[float]) -> Optional[str]:
@@ -211,9 +216,6 @@ class JobStore:
     ----------
     path:
         The database file (parent directories are created on demand).
-    busy_timeout_seconds:
-        How long SQLite itself waits on a locked database before the
-        :func:`~repro.core.persistence.retry_on_busy` layer kicks in.
     batch_aging:
         Anti-starvation credit for the batch lane: after this many
         consecutive interactive claims made while a batch job was
@@ -223,7 +225,6 @@ class JobStore:
     def __init__(
         self,
         path: Union[str, Path],
-        busy_timeout_seconds: float = DEFAULT_BUSY_TIMEOUT_SECONDS,
         batch_aging: int = DEFAULT_BATCH_AGING,
     ):
         if batch_aging < 1:
@@ -231,66 +232,23 @@ class JobStore:
         self.batch_aging = batch_aging
         self._interactive_streak = 0
         self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-        self._connection: Optional[sqlite3.Connection] = sqlite3.connect(
-            str(self.path), check_same_thread=False, isolation_level=None)
-        self._connection.executescript(_SCHEMA)
-        columns = {row[1] for row in
-                   self._connection.execute("PRAGMA table_info(jobs)")}
-        if "fanout" not in columns:
-            # Databases written before shard fan-out bookkeeping existed.
-            self._connection.execute("ALTER TABLE jobs ADD COLUMN fanout TEXT")
-        if "priority" not in columns:
-            # Databases written before priority lanes existed: every old
-            # row lands in the batch lane, preserving its FIFO position.
-            self._connection.execute(
-                "ALTER TABLE jobs ADD COLUMN priority TEXT NOT NULL "
-                f"DEFAULT '{DEFAULT_PRIORITY}'")
-        if "tenant" not in columns:
-            self._connection.execute("ALTER TABLE jobs ADD COLUMN tenant TEXT")
-        if "workload" not in columns:
-            # Databases written before the workload engine existed.
-            self._connection.execute("ALTER TABLE jobs ADD COLUMN workload TEXT")
-        if "cancel_requested" not in columns:
-            self._connection.execute(
-                "ALTER TABLE jobs ADD COLUMN cancel_requested "
-                "INTEGER NOT NULL DEFAULT 0")
+        self._connection = Database(self.path, _SCHEMA, _COLUMNS)
         # Created after the column migration: pre-priority databases do
         # not have the column yet when the schema script runs.
         self._connection.execute(
             "CREATE INDEX IF NOT EXISTS jobs_by_lane "
             "ON jobs (state, priority, id)")
-        self._connection.execute("PRAGMA journal_mode=WAL")
-        self._connection.execute(
-            f"PRAGMA busy_timeout={int(busy_timeout_seconds * 1000)}")
 
     # -- lifecycle ------------------------------------------------------------
     def close(self) -> None:
         """Close the database connection (idempotent)."""
-        with self._lock:
-            if self._connection is not None:
-                self._connection.close()
-                self._connection = None
+        self._connection.close()
 
     def __enter__(self) -> "JobStore":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def _execute(self, sql: str, parameters: tuple = ()):
-        if self._connection is None:
-            raise RuntimeError("JobStore is closed")
-        return retry_on_busy(lambda: self._connection.execute(sql, parameters))
-
-    def _rollback(self) -> None:
-        """Best-effort ROLLBACK that never masks the original exception."""
-        try:
-            if self._connection is not None:
-                self._connection.execute("ROLLBACK")
-        except sqlite3.Error:
-            pass
 
     # -- submission and claiming ----------------------------------------------
     def submit(self, corpus: Iterable, analyses: Iterable[str],
@@ -327,15 +285,13 @@ class JobStore:
                 f"priority must be one of {'|'.join(PRIORITY_LANES)}, "
                 f"not {priority!r}")
         now = time.time()
-        with self._lock:
-            cursor = self._execute(
-                "INSERT INTO jobs (state, analyses, corpus, options, "
-                "submitted, priority, tenant, workload) "
-                "VALUES ('queued', ?, ?, ?, ?, ?, ?, ?)",
-                (json.dumps(list(analyses)), json.dumps(corpus),
-                 json.dumps(options), now, priority, tenant,
-                 None if workload is None else json.dumps(workload)))
-            job_id = cursor.lastrowid
+        job_id = self._connection.execute(
+            "INSERT INTO jobs (state, analyses, corpus, options, "
+            "submitted, priority, tenant, workload) "
+            "VALUES ('queued', ?, ?, ?, ?, ?, ?, ?)",
+            (json.dumps(list(analyses)), json.dumps(corpus),
+             json.dumps(options), now, priority, tenant,
+             None if workload is None else json.dumps(workload))).lastrowid
         return Job(job_id=job_id, state="queued", analyses=analyses,
                    corpus=corpus, options=options, submitted=now,
                    priority=priority, tenant=tenant, workload=workload)
@@ -352,12 +308,12 @@ class JobStore:
         ``BEGIN IMMEDIATE`` so two daemons sharing one database can
         never claim the same job.
         """
-        with self._lock:
-            self._execute("BEGIN IMMEDIATE")
-            try:
-                heads = dict(self._execute(
+        database = self._connection
+        with database.lock:
+            with database.transaction():
+                heads = dict(database.fetchall(
                     "SELECT priority, MIN(id) FROM jobs "
-                    "WHERE state = 'queued' GROUP BY priority").fetchall())
+                    "WHERE state = 'queued' GROUP BY priority"))
                 interactive = heads.get("interactive")
                 batch = heads.get("batch")
                 if interactive is not None and batch is not None:
@@ -369,39 +325,32 @@ class JobStore:
                     job_id = interactive
                 else:
                     job_id = batch
-                if job_id is not None:
-                    if job_id == batch:
-                        self._interactive_streak = 0
-                    elif batch is not None:
-                        # Only count claims that actually pass over a
-                        # waiting batch job toward the aging credit.
-                        self._interactive_streak += 1
-                    self._execute(
-                        "UPDATE jobs SET state = 'running', started = ? "
-                        "WHERE id = ?", (time.time(), job_id))
-            except BaseException:
-                self._rollback()
-                raise
-            self._execute("COMMIT")
-            if job_id is None:
-                return None
-            return self._read_job(job_id)
+                if job_id is None:
+                    return None
+                if job_id == batch:
+                    self._interactive_streak = 0
+                elif batch is not None:
+                    # Only count claims that actually pass over a
+                    # waiting batch job toward the aging credit.
+                    self._interactive_streak += 1
+                database.execute(
+                    "UPDATE jobs SET state = 'running', started = ? "
+                    "WHERE id = ?", (time.time(), job_id))
+            return self.get(job_id)
 
     # -- results --------------------------------------------------------------
     def append_result(self, job_id: int, seq: int, envelope_json: str) -> None:
         """Persist one completed envelope (canonical JSON) under ``seq``."""
-        with self._lock:
-            self._execute(
-                "REPLACE INTO job_results (job_id, seq, envelope) VALUES (?, ?, ?)",
-                (job_id, seq, envelope_json))
+        self._connection.execute(
+            "REPLACE INTO job_results (job_id, seq, envelope) VALUES (?, ?, ?)",
+            (job_id, seq, envelope_json))
 
     def results(self, job_id: int, after: int = -1) -> list:
         """``(seq, envelope_json)`` rows of a job with ``seq > after``, in order."""
-        with self._lock:
-            return self._execute(
-                "SELECT seq, envelope FROM job_results "
-                "WHERE job_id = ? AND seq > ? ORDER BY seq",
-                (job_id, after)).fetchall()
+        return self._connection.fetchall(
+            "SELECT seq, envelope FROM job_results "
+            "WHERE job_id = ? AND seq > ? ORDER BY seq",
+            (job_id, after))
 
     def set_fanout(self, job_id: int, fanout: Optional[dict]) -> None:
         """Record (or clear) a job's shard fan-out bookkeeping.
@@ -410,19 +359,17 @@ class JobStore:
         sub-jobs, so a coordinator killed mid-fan-out leaves an explicit
         trace — and :meth:`recover` can wipe it when the job requeues.
         """
-        with self._lock:
-            self._execute(
-                "UPDATE jobs SET fanout = ? WHERE id = ?",
-                (None if fanout is None else json.dumps(fanout), job_id))
+        self._connection.execute(
+            "UPDATE jobs SET fanout = ? WHERE id = ?",
+            (None if fanout is None else json.dumps(fanout), job_id))
 
     def finish(self, job_id: int, state: str, error: Optional[str] = None) -> None:
         """Move a job to a terminal state (``done``/``failed``/``cancelled``)."""
         if state not in TERMINAL_STATES:
             raise ValueError(f"finish() takes a terminal state, not {state!r}")
-        with self._lock:
-            self._execute(
-                "UPDATE jobs SET state = ?, error = ?, finished = ? WHERE id = ?",
-                (state, error, time.time(), job_id))
+        self._connection.execute(
+            "UPDATE jobs SET state = ?, error = ?, finished = ? WHERE id = ?",
+            (state, error, time.time(), job_id))
 
     # -- cancellation ---------------------------------------------------------
     def cancel(self, job_id: int) -> Optional[str]:
@@ -435,41 +382,32 @@ class JobStore:
         ``"cancelling"``.  Terminal jobs are left untouched (their state
         is returned as-is).
         """
-        with self._lock:
-            self._execute("BEGIN IMMEDIATE")
-            try:
-                row = self._execute(
-                    "SELECT state FROM jobs WHERE id = ?", (job_id,)).fetchone()
-                if row is None:
-                    self._execute("COMMIT")
-                    return None
-                state = row[0]
-                if state == "queued":
-                    self._execute(
-                        "UPDATE jobs SET state = 'cancelled', finished = ?, "
-                        "cancel_requested = 1 WHERE id = ?",
-                        (time.time(), job_id))
-                    self._execute(
-                        "UPDATE job_chunks SET state = 'cancelled' "
-                        "WHERE job_id = ? AND state != 'done'", (job_id,))
-                    state = "cancelled"
-                elif state == "running":
-                    self._execute(
-                        "UPDATE jobs SET cancel_requested = 1 WHERE id = ?",
-                        (job_id,))
-                    state = "cancelling"
-            except BaseException:
-                self._rollback()
-                raise
-            self._execute("COMMIT")
+        database = self._connection
+        with database.transaction():
+            row = database.fetchone(
+                "SELECT state FROM jobs WHERE id = ?", (job_id,))
+            if row is None:
+                return None
+            state = row[0]
+            if state == "queued":
+                database.execute(
+                    "UPDATE jobs SET state = 'cancelled', finished = ?, "
+                    "cancel_requested = 1 WHERE id = ?", (time.time(), job_id))
+                database.execute(
+                    "UPDATE job_chunks SET state = 'cancelled' "
+                    "WHERE job_id = ? AND state != 'done'", (job_id,))
+                return "cancelled"
+            if state == "running":
+                database.execute(
+                    "UPDATE jobs SET cancel_requested = 1 WHERE id = ?",
+                    (job_id,))
+                return "cancelling"
             return state
 
     def is_cancel_requested(self, job_id: int) -> bool:
         """Whether :meth:`cancel` has flagged this job (chunk-boundary poll)."""
-        with self._lock:
-            row = self._execute(
-                "SELECT cancel_requested FROM jobs WHERE id = ?",
-                (job_id,)).fetchone()
+        row = self._connection.fetchone(
+            "SELECT cancel_requested FROM jobs WHERE id = ?", (job_id,))
         return bool(row and row[0])
 
     # -- workload chunks ------------------------------------------------------
@@ -483,9 +421,9 @@ class JobStore:
         pending.
         """
         inserted = 0
-        with self._lock:
+        with self._connection.lock:
             for chunk, spec in enumerate(specs):
-                cursor = self._execute(
+                cursor = self._connection.execute(
                     "INSERT OR IGNORE INTO job_chunks (job_id, chunk, spec) "
                     "VALUES (?, ?, ?)", (job_id, chunk, spec))
                 inserted += cursor.rowcount
@@ -493,38 +431,32 @@ class JobStore:
 
     def chunks(self, job_id: int) -> list:
         """Every chunk row of a job, in chunk order, as dicts."""
-        with self._lock:
-            rows = self._execute(
-                "SELECT chunk, spec, state, result, started, finished "
-                "FROM job_chunks WHERE job_id = ? ORDER BY chunk",
-                (job_id,)).fetchall()
+        rows = self._connection.fetchall(
+            "SELECT chunk, spec, state, result, started, finished "
+            "FROM job_chunks WHERE job_id = ? ORDER BY chunk", (job_id,))
         return [{"chunk": row[0], "spec": row[1], "state": row[2],
                  "result": row[3], "started": row[4], "finished": row[5]}
                 for row in rows]
 
     def pending_chunks(self, job_id: int) -> list:
         """``(chunk, spec)`` rows not yet ``done``, in chunk order."""
-        with self._lock:
-            return self._execute(
-                "SELECT chunk, spec FROM job_chunks "
-                "WHERE job_id = ? AND state != 'done' ORDER BY chunk",
-                (job_id,)).fetchall()
+        return self._connection.fetchall(
+            "SELECT chunk, spec FROM job_chunks "
+            "WHERE job_id = ? AND state != 'done' ORDER BY chunk", (job_id,))
 
     def start_chunk(self, job_id: int, chunk: int) -> None:
         """Mark one chunk ``running`` and stamp its start time."""
-        with self._lock:
-            self._execute(
-                "UPDATE job_chunks SET state = 'running', started = ? "
-                "WHERE job_id = ? AND chunk = ?", (time.time(), job_id, chunk))
+        self._connection.execute(
+            "UPDATE job_chunks SET state = 'running', started = ? "
+            "WHERE job_id = ? AND chunk = ?", (time.time(), job_id, chunk))
 
     def finish_chunk(self, job_id: int, chunk: int, result: str,
                      state: str = "done") -> None:
         """Persist one chunk's canonical-JSON result and mark it done."""
-        with self._lock:
-            self._execute(
-                "UPDATE job_chunks SET state = ?, result = ?, finished = ? "
-                "WHERE job_id = ? AND chunk = ?",
-                (state, result, time.time(), job_id, chunk))
+        self._connection.execute(
+            "UPDATE job_chunks SET state = ?, result = ?, finished = ? "
+            "WHERE job_id = ? AND chunk = ?",
+            (state, result, time.time(), job_id, chunk))
 
     def cancel_pending_chunks(self, job_id: int) -> int:
         """Mark every non-``done`` chunk ``cancelled``; returns how many.
@@ -533,11 +465,9 @@ class JobStore:
         at a chunk boundary — completed chunk results are kept (a later
         resume picks up from them), the rest are explicitly marked.
         """
-        with self._lock:
-            cursor = self._execute(
-                "UPDATE job_chunks SET state = 'cancelled' "
-                "WHERE job_id = ? AND state != 'done'", (job_id,))
-            return cursor.rowcount
+        return self._connection.execute(
+            "UPDATE job_chunks SET state = 'cancelled' "
+            "WHERE job_id = ? AND state != 'done'", (job_id,)).rowcount
 
     def chunk_progress(self, job_id: int) -> dict:
         """``{"done", "total", "eta"}`` of a workload job's chunk plan.
@@ -546,10 +476,9 @@ class JobStore:
         duration of completed chunks times the chunks left — or ``None``
         before the first chunk completes (or once everything is done).
         """
-        with self._lock:
-            rows = self._execute(
-                "SELECT state, started, finished FROM job_chunks "
-                "WHERE job_id = ?", (job_id,)).fetchall()
+        rows = self._connection.fetchall(
+            "SELECT state, started, finished FROM job_chunks "
+            "WHERE job_id = ?", (job_id,))
         total = len(rows)
         done = sum(1 for state, _, _ in rows if state == "done")
         durations = [finished - started for state, started, finished in rows
@@ -570,46 +499,36 @@ class JobStore:
         when the id is unknown.  Raises :class:`ValueError` for jobs
         that are not in a resumable state (``failed``/``cancelled``).
         """
-        with self._lock:
-            self._execute("BEGIN IMMEDIATE")
-            try:
-                row = self._execute(
-                    "SELECT state FROM jobs WHERE id = ?", (job_id,)).fetchone()
+        database = self._connection
+        with database.lock:
+            with database.transaction():
+                row = database.fetchone(
+                    "SELECT state FROM jobs WHERE id = ?", (job_id,))
                 if row is None:
-                    self._execute("COMMIT")
                     return None
                 if row[0] not in ("failed", "cancelled"):
                     raise ValueError(
                         f"job {job_id} is {row[0]}; only failed or "
                         f"cancelled jobs can be resumed")
-                self._execute(
+                database.execute(
                     "DELETE FROM job_results WHERE job_id = ?", (job_id,))
-                self._execute(
+                database.execute(
                     "UPDATE job_chunks SET state = 'pending', result = NULL, "
                     "started = NULL, finished = NULL "
                     "WHERE job_id = ? AND state != 'done'", (job_id,))
-                self._execute(
+                database.execute(
                     "UPDATE jobs SET state = 'queued', started = NULL, "
                     "finished = NULL, error = NULL, cancel_requested = 0 "
                     "WHERE id = ?", (job_id,))
-            except BaseException:
-                self._rollback()
-                raise
-            self._execute("COMMIT")
-            return self._read_job(job_id)
+            return self.get(job_id)
 
     # -- introspection --------------------------------------------------------
     def get(self, job_id: int) -> Optional[Job]:
         """The job with ``job_id``, or ``None`` when unknown."""
-        with self._lock:
-            return self._read_job(job_id)
-
-    def _read_job(self, job_id: int) -> Optional[Job]:
-        row = self._execute(
+        row = self._connection.fetchone(
             "SELECT id, state, analyses, corpus, options, error, submitted, "
             "started, finished, fanout, priority, tenant, workload, "
-            "cancel_requested FROM jobs WHERE id = ?",
-            (job_id,)).fetchone()
+            "cancel_requested FROM jobs WHERE id = ?", (job_id,))
         if row is None:
             return None
         return Job(job_id=row[0], state=row[1],
@@ -655,20 +574,19 @@ class JobStore:
             Keep only workload jobs (``GET /v1/workloads``).
         """
         where, parameters = self._filter_clause(state, tenant, workload_only)
-        with self._lock:
-            rows = self._execute(
+        with self._connection.lock:
+            rows = self._connection.fetchall(
                 f"SELECT id FROM jobs{where} ORDER BY id DESC LIMIT ? OFFSET ?",
-                (*parameters, limit, offset)).fetchall()
-            return [self._read_job(row[0]) for row in rows]
+                (*parameters, limit, offset))
+            return [self.get(row[0]) for row in rows]
 
     def count_jobs(self, state: Optional[str] = None,
                    tenant: Optional[str] = None,
                    workload_only: bool = False) -> int:
         """Total number of jobs matching the ``list_jobs`` filters."""
         where, parameters = self._filter_clause(state, tenant, workload_only)
-        with self._lock:
-            row = self._execute(
-                f"SELECT COUNT(*) FROM jobs{where}", tuple(parameters)).fetchone()
+        row = self._connection.fetchone(
+            f"SELECT COUNT(*) FROM jobs{where}", tuple(parameters))
         return row[0]
 
     def states(self, job_ids: Iterable[int]) -> dict:
@@ -682,17 +600,15 @@ class JobStore:
         if not ids:
             return {}
         placeholders = ",".join("?" for _ in ids)
-        with self._lock:
-            rows = self._execute(
-                f"SELECT id, state FROM jobs WHERE id IN ({placeholders})",
-                tuple(ids)).fetchall()
+        rows = self._connection.fetchall(
+            f"SELECT id, state FROM jobs WHERE id IN ({placeholders})",
+            tuple(ids))
         return dict(rows)
 
     def counts(self) -> dict:
         """Jobs per state (every state present, zero when empty)."""
-        with self._lock:
-            rows = self._execute(
-                "SELECT state, COUNT(*) FROM jobs GROUP BY state").fetchall()
+        rows = self._connection.fetchall(
+            "SELECT state, COUNT(*) FROM jobs GROUP BY state")
         counts = {state: 0 for state in JOB_STATES}
         counts.update(dict(rows))
         return counts
@@ -719,25 +635,20 @@ class JobStore:
         is executing right now, so recovering next to an active peer
         would requeue — and duplicate — its in-flight work.
         """
-        with self._lock:
-            self._execute("BEGIN IMMEDIATE")
-            try:
-                rows = self._execute(
-                    "SELECT id FROM jobs WHERE state = 'running'").fetchall()
-                for (job_id,) in rows:
-                    self._execute(
-                        "DELETE FROM job_results WHERE job_id = ?", (job_id,))
-                    self._execute(
-                        "UPDATE job_chunks SET state = 'pending', "
-                        "result = NULL, started = NULL, finished = NULL "
-                        "WHERE job_id = ? AND state = 'running'", (job_id,))
-                    self._execute(
-                        "UPDATE jobs SET state = 'queued', started = NULL, "
-                        "fanout = NULL WHERE id = ?", (job_id,))
-            except BaseException:
-                self._rollback()
-                raise
-            self._execute("COMMIT")
+        database = self._connection
+        with database.transaction():
+            rows = database.fetchall(
+                "SELECT id FROM jobs WHERE state = 'running'")
+            for (job_id,) in rows:
+                database.execute(
+                    "DELETE FROM job_results WHERE job_id = ?", (job_id,))
+                database.execute(
+                    "UPDATE job_chunks SET state = 'pending', "
+                    "result = NULL, started = NULL, finished = NULL "
+                    "WHERE job_id = ? AND state = 'running'", (job_id,))
+                database.execute(
+                    "UPDATE jobs SET state = 'queued', started = NULL, "
+                    "fanout = NULL WHERE id = ?", (job_id,))
             return len(rows)
 
 

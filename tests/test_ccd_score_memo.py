@@ -15,6 +15,7 @@ Two properties carry the ``myers`` backend:
 
 import pickle
 import random
+import sqlite3
 
 import pytest
 
@@ -232,12 +233,21 @@ class TestDiskTier:
 
     def test_corrupt_tier_degrades_to_cold(self, tmp_path):
         path = tmp_path / SCORE_MEMO_NAME
+        ScoreMemoTable(path).close()
+        # another process still has the tier open, so its -wal/-shm files
+        # outlive the failed open below and must be moved aside with it
+        holder = sqlite3.connect(str(path))
+        holder.execute("SELECT COUNT(*) FROM scores").fetchone()
         path.write_bytes(b"this is not a sqlite database at all......")
-        memo = ScoreMemoTable(path)
+        try:
+            memo = ScoreMemoTable(path)
+        finally:
+            holder.close()
         assert memo.stats.warm_loaded == 0
         memo[memo_key("AAA", "BBB")] = 30.0
         assert memo.disk_rows() == 1
-        assert (tmp_path / (SCORE_MEMO_NAME + ".corrupt")).exists()
+        for suffix in ("", "-wal", "-shm"):
+            assert (tmp_path / (SCORE_MEMO_NAME + suffix + ".corrupt")).exists()
         memo.close()
 
     def test_format_version_mismatch_discards_rows(self, tmp_path):

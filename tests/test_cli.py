@@ -1,11 +1,15 @@
 """Tests for the ``repro`` console-script CLI."""
 
+import json
 import re
+import threading
 
 import pytest
 
+from repro.api.envelope import canonical_json
 from repro.cli import build_parser, main
 from repro.pipeline.checkpoint import StudyCheckpoint
+from test_workloads import SWEEP_PARAMS, local_workload_bytes
 
 SMALL_CORPUS = ["--posts-stackoverflow", "4", "--posts-ethereum", "8",
                 "--independent-contracts", "4"]
@@ -366,6 +370,153 @@ class TestServiceCommands:
                                    "--url", service.url)
             assert code == 0
             assert "Results" in out
+
+
+@pytest.fixture
+def daemon(tmp_path):
+    """An in-process daemon with one scheduler worker."""
+    from repro.service import AnalysisService, ServiceConfig
+
+    config = ServiceConfig(data_dir=str(tmp_path / "svc"), port=0,
+                           backend="serial")
+    with AnalysisService(config) as service:
+        yield service
+
+
+def run_sweep(service) -> int:
+    """Run the small parameter sweep to completion; returns its job id."""
+    from repro.service import ServiceClient
+
+    client = ServiceClient(service.url)
+    job_id = client.submit_workload("parameter_sweep",
+                                    params=SWEEP_PARAMS)["id"]
+    assert client.wait_workload(job_id, timeout=120.0)["job"]["state"] == "done"
+    return job_id
+
+
+def cancel_after_first_chunk(service, capsys, monkeypatch) -> int:
+    """Start the sweep, ``repro jobs cancel`` it once chunk 0 is done.
+
+    The store's ``finish_chunk`` holds the runner after chunk 0 until
+    the cancel has landed, so the job stops at the next chunk boundary
+    with exactly one chunk done.  Returns the cancelled job's id.
+    """
+    from repro.service import ServiceClient
+
+    store = service.jobstore
+    first_done = threading.Event()
+    cancel_sent = threading.Event()
+    finish_chunk = store.finish_chunk
+
+    def finish_then_hold(job_id, chunk, result, state="done"):
+        finish_chunk(job_id, chunk, result, state)
+        if chunk == 0:
+            first_done.set()
+            cancel_sent.wait(60)
+
+    monkeypatch.setattr(store, "finish_chunk", finish_then_hold)
+    client = ServiceClient(service.url)
+    job_id = client.submit_workload("parameter_sweep",
+                                    params=SWEEP_PARAMS)["id"]
+    try:
+        assert first_done.wait(60)
+        code, out, _ = run_cli(capsys, "jobs", "cancel", str(job_id),
+                               "--url", service.url)
+    finally:
+        cancel_sent.set()
+    assert code == 0
+    assert out.strip() == f"job {job_id}: cancelling"
+    final = client.wait_workload(job_id, timeout=120.0)
+    assert final["job"]["state"] == "cancelled"
+    return job_id
+
+
+class TestJobLifecycleCli:
+    """``jobs cancel`` and ``workload run|list|show|resume`` on a daemon."""
+
+    def test_jobs_cancel_drops_a_queued_job(self, daemon, capsys):
+        from repro.service import ServiceClient
+
+        client = ServiceClient(daemon.url)
+        # the only scheduler worker parks on the work lock with the first
+        # job, so the second one stays queued until the lock is released
+        with daemon._work_lock.write():
+            client.submit_workload("parameter_sweep", params=SWEEP_PARAMS)
+            queued = client.submit_workload("parameter_sweep",
+                                            params=SWEEP_PARAMS)["id"]
+            code, out, _ = run_cli(capsys, "jobs", "cancel", str(queued),
+                                   "--url", daemon.url)
+        assert code == 0
+        assert out.strip() == f"job {queued}: cancelled"
+        assert client.job(queued, results=False)["job"]["state"] == "cancelled"
+        code, out, _ = run_cli(capsys, "jobs", "cancel", "99",
+                               "--url", daemon.url)
+        assert code == 1
+
+    def test_workload_run_wait_writes_the_merged_report(self, daemon, tmp_path,
+                                                        capsys):
+        from repro.service import ServiceClient
+
+        output = tmp_path / "report.json"
+        code, out, _ = run_cli(capsys, "workload", "run", "parameter_sweep",
+                               "--url", daemon.url,
+                               "--params", json.dumps(SWEEP_PARAMS),
+                               "--wait", "--output", str(output))
+        assert code == 0
+        job_id = int(re.search(r"submitted workload (\d+)", out).group(1))
+        assert f"workload {job_id} done in" in out and "(4/4 chunks)" in out
+        assert f"merged report written to {output}" in out
+        report = json.loads(output.read_text(encoding="utf-8"))
+        merged = ServiceClient(daemon.url).job(job_id)["results"][0]
+        assert report == merged
+        assert canonical_json(report) == local_workload_bytes(
+            "parameter_sweep", SWEEP_PARAMS)
+
+    def test_workload_list_shows_chunk_progress(self, daemon, capsys):
+        job_id = run_sweep(daemon)
+        code, out, _ = run_cli(capsys, "workload", "list", "--url", daemon.url)
+        assert code == 0
+        assert "(0-1 of 1)" in out
+        row = [line.split() for line in out.splitlines()
+               if line.startswith(f"{job_id} ")]
+        assert row and row[0][:4] == [str(job_id), "done", "parameter_sweep",
+                                      "4/4"]
+
+    def test_workload_show_chunks_after_a_cancel(self, daemon, capsys,
+                                                 monkeypatch):
+        job_id = cancel_after_first_chunk(daemon, capsys, monkeypatch)
+        code, out, _ = run_cli(capsys, "workload", "show", str(job_id),
+                               "--url", daemon.url, "--chunks")
+        assert code == 0
+        assert "Chunks (4)" in out
+        states = {}
+        for line in out.split("Chunks (4)")[1].splitlines():
+            fields = line.split()
+            if fields and fields[0].isdigit():
+                states[int(fields[0])] = fields[1]
+        assert states == {0: "done", 1: "cancelled", 2: "cancelled",
+                          3: "cancelled"}
+        assert any(line.split()[:2] == ["progress", "1/4"]
+                   for line in out.splitlines() if line.strip())
+
+    def test_workload_resume_after_a_cancel_keeps_done_chunks(
+            self, daemon, capsys, monkeypatch):
+        from repro.service import ServiceClient
+
+        job_id = cancel_after_first_chunk(daemon, capsys, monkeypatch)
+        code, out, _ = run_cli(capsys, "workload", "resume", str(job_id),
+                               "--url", daemon.url)
+        assert code == 0
+        assert out.strip() == (f"workload {job_id} requeued "
+                               f"(1/4 chunks already done)")
+        final = ServiceClient(daemon.url).wait_workload(job_id, timeout=120.0)
+        assert final["job"]["state"] == "done"
+        assert canonical_json(final["results"][0]) == local_workload_bytes(
+            "parameter_sweep", SWEEP_PARAMS)
+        # a done job is not resumable: the requeue transaction refuses it
+        code, _, err = run_cli(capsys, "workload", "resume", str(job_id),
+                               "--url", daemon.url)
+        assert code == 1 and "only failed or cancelled" in err
 
 
 class TestClusterCli:

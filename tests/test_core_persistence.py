@@ -156,12 +156,21 @@ class TestDiskArtifactStore:
         directory = tmp_path / "cache"
         with DiskArtifactStore(directory) as store:
             store.get(GOOD_SOURCE).fingerprint
+        # another process still has the cache open, so its -wal/-shm files
+        # outlive the failed open below and must be moved aside with it
+        holder = sqlite3.connect(str(directory / DATABASE_NAME))
+        holder.execute("SELECT COUNT(*) FROM meta").fetchone()
         (directory / DATABASE_NAME).write_bytes(b"definitely not sqlite")
-        with DiskArtifactStore(directory) as store:
-            assert store.stats.disk_corruptions == 1
-            artifact = store.get(GOOD_SOURCE)
-            assert artifact.fingerprint.text
-            assert store.stats.parse_calls == 1
+        try:
+            with DiskArtifactStore(directory) as store:
+                assert store.stats.disk_corruptions == 1
+                artifact = store.get(GOOD_SOURCE)
+                assert artifact.fingerprint.text
+                assert store.stats.parse_calls == 1
+        finally:
+            holder.close()
+        for suffix in ("", "-wal", "-shm"):
+            assert (directory / (DATABASE_NAME + suffix + ".corrupt")).exists()
 
     def test_configuration_mismatch_is_rejected(self, tmp_path):
         directory = tmp_path / "cache"
@@ -233,7 +242,7 @@ class TestDiskArtifactStore:
 
 class TestBusyHandling:
     def test_retry_on_busy_retries_then_succeeds(self):
-        from repro.core.persistence import retry_on_busy
+        from repro.core.sqlite import retry_on_busy
 
         calls = []
 
@@ -247,7 +256,7 @@ class TestBusyHandling:
         assert len(calls) == 3
 
     def test_retry_on_busy_gives_up_after_attempts(self):
-        from repro.core.persistence import retry_on_busy
+        from repro.core.sqlite import retry_on_busy
 
         def always_locked():
             raise sqlite3.OperationalError("database is locked")
@@ -256,7 +265,7 @@ class TestBusyHandling:
             retry_on_busy(always_locked, attempts=3, base_delay=0.0)
 
     def test_retry_on_busy_propagates_other_errors_immediately(self):
-        from repro.core.persistence import retry_on_busy
+        from repro.core.sqlite import retry_on_busy
 
         calls = []
 
@@ -267,15 +276,6 @@ class TestBusyHandling:
         with pytest.raises(sqlite3.OperationalError):
             retry_on_busy(broken, attempts=5, base_delay=0.0)
         assert len(calls) == 1  # not a busy error: no retry
-
-    def test_busy_timeout_is_configurable_and_applied(self, tmp_path):
-        store = DiskArtifactStore(tmp_path / "cache", busy_timeout_seconds=1.5)
-        try:
-            timeout_ms = store._connection.execute(
-                "PRAGMA busy_timeout").fetchone()[0]
-            assert timeout_ms == 1500
-        finally:
-            store.close()
 
     def test_concurrent_writers_one_cache_path(self, tmp_path):
         """Two stores (two connections) hammering one cache concurrently.

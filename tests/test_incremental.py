@@ -379,6 +379,35 @@ class TestCoordinatorDeltaIngest:
             via_single = probe_envelopes(client)
         assert via_cluster == via_single  # byte parity across the topology
 
+    def test_diff_base_is_a_keyed_lookup(self, tmp_path, small_corpus):
+        """Resolving a diff reads one journaled source, not every row.
+
+        Every ``SELECT`` the ingest runs on ``corpus.sqlite`` is keyed by
+        document id, except the document count of the response summary.
+        """
+        with in_process_cluster(tmp_path, 2) as coordinator:
+            client = ServiceClient(coordinator.url, connect_timeout=5.0)
+            client.ingest(small_corpus)
+            connection = coordinator.journal._connection.connection
+            statements: list = []
+            connection.set_trace_callback(statements.append)
+            try:
+                summary = client.ingest_delta(
+                    "wallet", diff=make_unified_diff(VULN, VULN_EDITED),
+                    base_version=content_key(VULN))
+            finally:
+                connection.set_trace_callback(None)
+            assert summary["ingested"] == 1
+            selects = [statement for statement in statements
+                       if statement.lstrip().upper().startswith("SELECT")]
+            assert any(statement.startswith("SELECT source FROM documents "
+                                            "WHERE id = ")
+                       for statement in selects)
+            for statement in selects:
+                assert (" WHERE id = " in statement
+                        or statement == "SELECT COUNT(*) FROM documents"), \
+                    statement
+
     def test_unchanged_counts_aggregate_across_shards(self, tmp_path,
                                                       small_corpus):
         with in_process_cluster(tmp_path, 2) as coordinator:

@@ -604,6 +604,64 @@ class TestAdmissionControl:
                     assert b"Retry-After" in blob
                     assert b"too many open connections" in blob
 
+    def test_accept_queue_holds_a_burst_while_the_loop_is_busy(self, tmp_path):
+        """Connections made while the loop is parked wait in the kernel.
+
+        The listen backlog is ``max_connections``: with asyncio's default
+        of 100, connects past the 101st were dropped until the loop ran
+        again, so a burst lost connections the gateway would have
+        answered (or shed with an explicit 503).
+        """
+        import selectors
+        import time
+
+        with AnalysisService(make_config(tmp_path)) as service:
+            parts = urlsplit(service.url)
+            parked = threading.Event()
+
+            def park():
+                parked.set()
+                time.sleep(3.0)
+
+            service._gateway._loop.call_soon_threadsafe(park)
+            assert parked.wait(10)
+            selector = selectors.DefaultSelector()
+            sockets = []
+            try:
+                for _ in range(300):
+                    sock = socket.socket()
+                    sock.setblocking(False)
+                    sock.connect_ex((parts.hostname, parts.port))
+                    sockets.append(sock)
+                    selector.register(sock, selectors.EVENT_WRITE)
+                handshakes = 0
+                deadline = time.monotonic() + 1.5
+                while handshakes < len(sockets):
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        break
+                    for key, _ in selector.select(remaining):
+                        selector.unregister(key.fileobj)
+                        if key.fileobj.getsockopt(
+                                socket.SOL_SOCKET, socket.SO_ERROR) == 0:
+                            handshakes += 1
+                assert handshakes == len(sockets)
+            finally:
+                selector.close()
+                for sock in sockets:
+                    sock.close()
+            # once the loop runs again it takes every queued connection,
+            # sees it closed and lets it go before the daemon stops
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline:
+                stats = service._gateway.gateway_stats()
+                if (stats["connections_opened"] >= len(sockets)
+                        and stats["open_connections"] == 0):
+                    break
+                time.sleep(0.05)
+            assert stats["connections_opened"] >= len(sockets)
+            assert stats["open_connections"] == 0
+
     def test_tenant_quota_file_round_trip(self, tmp_path):
         path = tmp_path / "quotas.json"
         path.write_text(json.dumps({
