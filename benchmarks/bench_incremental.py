@@ -91,7 +91,7 @@ def _config(tmp_path, name):
 def _query_envelopes(client):
     """Canonical envelopes of one fixed ccd+ccc job (the parity probe)."""
     job = client.submit([["probe", EDITED_SOURCE]], analyses=["ccd", "ccc"])
-    finished = client.wait(job["id"], timeout=120.0, poll=0.002)
+    finished = client.wait(job["id"], timeout=120.0)
     return [canonical_json(envelope) for envelope in finished["results"]]
 
 

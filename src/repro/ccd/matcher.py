@@ -53,7 +53,7 @@ from typing import Dict, Hashable, Optional, Union
 
 from repro.ccd.fingerprint import Fingerprint
 from repro.ccd.ngram_index import NGramIndex, ngrams
-from repro.ccd.score_memo import ScoreMemoTable
+from repro.ccd.score_memo import ScoreMemoTable, memo_key
 from repro.ccd.similarity import (
     myers_bounded_edit_distance,
     myers_word_count,
@@ -227,11 +227,6 @@ class SimilarityBackend:
         raise NotImplementedError
 
 
-def _memo_key(first: str, second: str) -> tuple:
-    """Canonical memo key: δ is symmetric, so order the pair."""
-    return (first, second) if first <= second else (second, first)
-
-
 class ExactSimilarityBackend(SimilarityBackend):
     """The naive reference verifier: every pair, full edit distance.
 
@@ -309,7 +304,7 @@ class MyersSimilarityBackend(SimilarityBackend):
                 if bound <= best or bound < needed:
                     stats.pairs_skipped_by_bound += 1
                     continue
-                key = _memo_key(sub_first, sub_second)
+                key = memo_key(sub_first, sub_second)
                 score = memo.get(key)
                 if score is not None and score < 0.0:
                     # a remembered cutoff: the true score is provably

@@ -89,45 +89,16 @@ def _entry_source(entry: SmartBugsEntry, dataset: str) -> Optional[str]:
     raise ValueError(f"unknown dataset: {dataset!r}")
 
 
-def _ccc_analyses(
-    checker: ContractChecker,
-    sources: list[str],
-    backend: Optional[str],
-    max_workers: Optional[int],
-) -> list:
-    """Analyse ``sources`` with CCC, optionally fanning out over workers.
-
-    ``backend=None`` keeps the original one-by-one serial loop.  Any
-    executor backend (``serial``/``thread``/``process``) routes through
-    an :class:`~repro.api.AnalysisSession`, which produces byte-identical
-    findings in input order under every backend.
-    """
-    if backend is None:
-        return [checker.analyze(source, snippet=True) for source in sources]
-    from repro.api import AnalysisSession, SessionConfig
-
-    config = SessionConfig(backend=backend, max_workers=max_workers)
-    with AnalysisSession(config, store=checker.store) as session:
-        envelopes = session.run(sources, analyses=["ccc"],
-                                options={"ccc": {"checker": checker}})
-    return [envelope.payload for envelope in envelopes]
-
-
 def evaluate_ccc_on_corpus(
     corpus: SmartBugsCorpus,
     dataset: str = "original",
     checker: Optional[ContractChecker] = None,
     timeout_per_file: float = 20.0,
-    backend: Optional[str] = None,
-    max_workers: Optional[int] = None,
 ) -> ToolEvaluation:
     """Run CCC on every file of the corpus and count TP/FP per category.
 
     ``dataset`` selects the *Original*, *Functions*, or *Statements*
-    variant (Section 4.6.1 / Table 2).  ``backend`` optionally fans the
-    per-file analyses out over an executor backend
-    (``serial``/``thread``/``process``); results are byte-identical to
-    the default serial loop (asserted in ``tests/test_evaluation.py``).
+    variant (Section 4.6.1 / Table 2).
     """
     if checker is None:
         checker = ContractChecker(timeout=timeout_per_file)
@@ -143,7 +114,7 @@ def evaluate_ccc_on_corpus(
             continue
         sources.append(source)
         analysed_entries.append(entry)
-    analyses = _ccc_analyses(checker, sources, backend, max_workers)
+    analyses = [checker.analyze(source, snippet=True) for source in sources]
     for entry, analysis in zip(analysed_entries, analyses):
         if not analysis.ok:
             continue
@@ -163,15 +134,8 @@ def evaluate_baseline_on_corpus(
     corpus: SmartBugsCorpus,
     dataset: str = "original",
     baseline: Optional[SmartCheckBaseline] = None,
-    backend: Optional[str] = None,
-    max_workers: Optional[int] = None,
 ) -> ToolEvaluation:
-    """Run the SmartCheck-style lexical baseline with the same protocol.
-
-    ``backend`` optionally maps ``baseline.analyze`` over an executor
-    backend; counting stays in corpus order either way, so the result is
-    identical to the serial loop.
-    """
+    """Run the SmartCheck-style lexical baseline with the same protocol."""
     if baseline is None:
         baseline = SmartCheckBaseline()
     evaluation = ToolEvaluation(tool=baseline.name, dataset=dataset)
@@ -186,16 +150,7 @@ def evaluate_baseline_on_corpus(
             continue
         sources.append(source)
         analysed_entries.append(entry)
-    if backend is None:
-        findings_per_source = [baseline.analyze(source) for source in sources]
-    else:
-        from repro.core.executor import Executor
-
-        executor = Executor.create(backend, max_workers=max_workers)
-        try:
-            findings_per_source = executor.map(baseline.analyze, sources)
-        finally:
-            executor.close()
+    findings_per_source = [baseline.analyze(source) for source in sources]
     for entry, findings in zip(analysed_entries, findings_per_source):
         result = evaluation.categories[entry.category]
         matching = [finding for finding in findings if finding.category == entry.category]

@@ -10,11 +10,13 @@ index, fed by a persistent job queue, fronted by a stdlib HTTP API.
 * :mod:`repro.service.jobstore` — SQLite-backed persistent job queue
   (``queued → running → done/failed``), crash-safe: a killed daemon
   requeues its in-flight jobs on restart, with no losses or duplicates,
-* :mod:`repro.service.scheduler` — the worker pool draining the queue
-  FIFO through the resident session, streaming envelopes into the store
-  as they complete,
-* :mod:`repro.service.server` — :class:`AnalysisService`, the worker
-  daemon,
+* :mod:`repro.service.scheduler` — the one pool draining the queue of
+  either role: it hands each claimed job to the daemon's ``run`` and
+  finishes and counts it by the outcome,
+* :mod:`repro.service.server` — the :class:`~repro.service.server.Daemon`
+  core both roles share (job store, scheduler, gateway lifecycle,
+  submission), and :class:`AnalysisService`, the worker daemon, whose
+  ``run`` streams envelopes from the resident session into the store,
 * :mod:`repro.service.routes` — the ``/v1/*`` protocol as one route
   table per role (``POST /v1/jobs``, ``GET /v1/jobs/{id}[/stream]``,
   ``POST /v1/corpus``, ``GET /v1/healthz``, ``GET /v1/stats``, ...),
@@ -27,8 +29,9 @@ index, fed by a persistent job queue, fronted by a stdlib HTTP API.
 * :mod:`repro.service.hashring` — the deterministic consistent-hash
   ring partitioning corpus documents across shards,
 * :mod:`repro.service.coordinator` — :class:`ClusterCoordinator`, the
-  scatter-gather front of an N-worker cluster whose merged responses
-  are byte-identical to a single-node daemon over the same corpus.
+  daemon core as the scatter-gather front of an N-worker cluster: its
+  ``run`` fans each job out and merges responses byte-identical to a
+  single-node daemon over the same corpus.
 
 Start a daemon with ``repro serve --data-dir DIR`` (see ``docs/service.md``)
 or in-process::

@@ -39,6 +39,8 @@ import urllib.error
 from typing import Iterator, Optional
 from urllib.parse import quote, urlsplit
 
+from repro.service.scheduler import POLL_INTERVAL
+
 
 class ServiceError(RuntimeError):
     """An HTTP error from the daemon (status code + server message)."""
@@ -281,7 +283,7 @@ class ServiceClient:
         return self.jobs_page(state=state, limit=limit, offset=offset,
                               tenant=tenant)["jobs"]
 
-    def wait(self, job_id: int, timeout: float = 120.0, poll: float = 0.05) -> dict:
+    def wait(self, job_id: int, timeout: float = 120.0) -> dict:
         """Poll until the job completes; returns its final status envelope.
 
         ``cancelled`` is terminal like ``done`` — the returned envelope
@@ -301,7 +303,7 @@ class ServiceClient:
                 raise TimeoutError(
                     f"job {job_id} still {status['job']['state']} "
                     f"after {timeout:.1f}s")
-            time.sleep(poll)
+            time.sleep(POLL_INTERVAL)
 
     def cancel(self, job_id: int) -> dict:
         """Cancel one job (``POST /v1/jobs/{id}/cancel``).
@@ -392,8 +394,7 @@ class ServiceClient:
         """Requeue a failed or cancelled workload, reusing its done chunks."""
         return self._request("POST", f"/v1/workloads/{job_id}/resume", {})
 
-    def wait_workload(self, job_id: int, timeout: float = 300.0,
-                      poll: float = 0.05) -> dict:
+    def wait_workload(self, job_id: int, timeout: float = 300.0) -> dict:
         """Poll a workload to a terminal state; returns its status envelope.
 
         The returned envelope is the plain job status
@@ -402,7 +403,7 @@ class ServiceClient:
         :class:`JobFailedError` on failure, :class:`TimeoutError` on
         timeout; ``cancelled`` is terminal and returned like ``done``.
         """
-        return self.wait(job_id, timeout=timeout, poll=poll)
+        return self.wait(job_id, timeout=timeout)
 
     def register_query(self, spec: dict) -> dict:
         """Register a custom DSL query (``POST /v1/queries``).

@@ -33,56 +33,36 @@ result streaming and plus ``GET /v1/cluster`` and ``POST
 :data:`repro.service.routes.COORDINATOR_ROUTES`, served by the same
 asyncio transport (:class:`~repro.service.gateway.AsyncGateway`).
 
-Durability mirrors the single-node daemon: jobs live in the same
-:class:`~repro.service.jobstore.JobStore` (rows gain fan-out
-bookkeeping), so a coordinator killed mid-fan-out requeues the job on
-restart and re-fans it out from scratch.  A worker that dies mid-job is
-polled through its restart (its own store requeues the sub-job); a
-worker that stays down past ``shard_timeout`` is reported in the job's
-``fanout.degraded`` list — the job completes with the surviving shards'
-results instead of hanging or silently pretending nothing is missing.
+A coordinator is the worker's :class:`~repro.service.server.Daemon`
+core with a different ``run``: the same job store (rows gain fan-out
+bookkeeping), the same :class:`~repro.service.scheduler.Scheduler`
+draining it one fan-out at a time, the same submission and cancellation.
+So durability mirrors the single-node daemon: a coordinator killed or
+stopped mid-fan-out leaves the job ``running``, and the next start
+requeues it and fans it out again from scratch.  A worker that dies
+mid-job is polled through its restart (its own store requeues the
+sub-job); a worker that stays down past ``shard_timeout`` is reported in
+the job's ``fanout.degraded`` list — the job completes with the
+surviving shards' results instead of hanging or silently pretending
+nothing is missing.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 import time
-import traceback
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.api.envelope import canonical_json
-from repro.api.registry import REGISTRY
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.gateway import AsyncGateway, GatewayConfig
+from repro.service.delta import SourceJournal
 from repro.service.hashring import DEFAULT_RING_REPLICAS, HashRing, partition
-from repro.service.jobstore import (
-    DEFAULT_BATCH_AGING,
-    JOBS_DATABASE_NAME,
-    Job,
-    JobStore,
-)
-from repro.service.delta import DeltaError, SourceJournal, resolve_ingest_documents
+from repro.service.jobstore import Job
 from repro.service.routes import COORDINATOR_ROUTES
-from repro.service.scheduler import ReadWriteLock
-from repro.service.server import (
-    QUERIES_FILE_NAME,
-    ServiceValidationError,
-    custom_queries_payload,
-    load_custom_queries,
-    register_custom_query,
-    validate_document_ids,
-    validate_job_request,
-    validate_priority,
-    validate_sources,
-)
-from repro.service.workloads import (
-    WORKLOADS,
-    WorkloadError,
-    validate_workload_request,
-)
+from repro.service.scheduler import POLL_INTERVAL, Outcome
+from repro.service.server import Daemon, DaemonConfig
+from repro.service.workloads import WORKLOADS
 
 #: every HTTP route the coordinator serves, read off its route table —
 #: kept in lockstep with ``docs/service.md`` by ``tools/check_api.py``
@@ -204,13 +184,15 @@ class CorpusJournal(SourceJournal):
 
 # -- the coordinator daemon ---------------------------------------------------
 @dataclass(frozen=True)
-class CoordinatorConfig:
-    """Typed configuration of a :class:`ClusterCoordinator` daemon."""
+class CoordinatorConfig(DaemonConfig):
+    """Typed configuration of a :class:`ClusterCoordinator` daemon.
 
-    #: directory holding ``jobs.sqlite`` and ``corpus.sqlite``
+    Extends the shared :class:`~repro.service.server.DaemonConfig` with
+    the shard topology and the timeouts towards the workers.  The data
+    directory holds ``jobs.sqlite`` and ``corpus.sqlite``.
+    """
+
     data_dir: str = "repro-coordinator"
-    host: str = "127.0.0.1"
-    #: TCP port; ``0`` binds an ephemeral free port
     port: int = 8740
     #: worker daemon base URLs, in shard order (the order is identity:
     #: ``workers[i]`` serves ring node ``shard-i`` across restarts)
@@ -227,22 +209,6 @@ class CoordinatorConfig:
     #: how long one fan-out waits for its slowest shard before the
     #: missing shards are declared degraded and the job completes
     shard_timeout: float = 300.0
-    #: fan-out queue poll interval
-    poll_interval: float = 0.05
-    #: concurrent fan-out worker threads (1 = strict FIFO)
-    fanout_workers: int = 1
-    #: emit one access-log line per request to stderr
-    log_requests: bool = False
-    #: queued+running jobs beyond this are shed with 503
-    max_pending_jobs: int = 256
-    #: open connections beyond this are shed with 503
-    max_connections: int = 1024
-    #: path of a TOML/JSON per-tenant quota file
-    tenant_quotas: Optional[str] = None
-    #: coalesce concurrent identical job submissions
-    coalesce: bool = True
-    #: interactive claims a waiting batch job tolerates before it is served
-    batch_aging: int = DEFAULT_BATCH_AGING
 
     def resolved_names(self) -> Tuple[str, ...]:
         """Shard names, defaulted positionally and validated."""
@@ -255,30 +221,25 @@ class CoordinatorConfig:
         return names
 
 
-class ClusterCoordinator:
+class ClusterCoordinator(Daemon):
     """The scatter-gather front of an N-shard analysis cluster.
 
-    Lifecycle mirrors :class:`~repro.service.server.AnalysisService`:
-    constructing performs crash recovery on the coordinator's own job
-    store, :meth:`start` binds the HTTP server and spawns the fan-out
-    workers; use as a context manager or pair :meth:`start`/:meth:`stop`.
+    The lifecycle, submission and cancellation are the shared
+    :class:`~repro.service.server.Daemon` core; the coordinator's
+    :class:`~repro.service.scheduler.Scheduler` runs one fan-out at a
+    time.  Use as a context manager or pair :meth:`start`/:meth:`stop`.
     """
+
+    route_table = COORDINATOR_ROUTES
 
     def __init__(self, config: CoordinatorConfig):
         if not config.workers:
             raise ValueError("a coordinator needs at least one worker URL")
-        self.config = config
         names = config.resolved_names()
+        super().__init__(config)
         #: shard name -> worker base URL, in configuration order
         self.shards: Dict[str, str] = dict(zip(names, config.workers))
         self.ring = HashRing(names, replicas=config.replicas)
-        self.data_dir = Path(config.data_dir)
-        self.data_dir.mkdir(parents=True, exist_ok=True)
-        self.started_at = time.time()
-        self.jobstore = JobStore(self.data_dir / JOBS_DATABASE_NAME,
-                                 batch_aging=config.batch_aging)
-        #: jobs requeued from a previous coordinator's crash, for /v1/stats
-        self.recovered_jobs = self.jobstore.recover()
         self.journal = CorpusJournal(self.data_dir / CORPUS_DATABASE_NAME)
         #: per-shard clients that ride out worker restarts
         self.clients = {
@@ -289,159 +250,12 @@ class ClusterCoordinator:
         self.probes = {
             name: ServiceClient(url, timeout=config.request_timeout)
             for name, url in self.shards.items()}
-        self._work_lock = ReadWriteLock()
-        self.jobs_completed = 0
-        self.jobs_failed = 0
-        self._threads: List[threading.Thread] = []
-        self._stop_event = threading.Event()
-        self._wakeup = threading.Condition()
-        self._gateway: Optional[AsyncGateway] = None
-        self._stop_requested = threading.Event()
-        self._stopped = False
-        self.queries_path = self.data_dir / QUERIES_FILE_NAME
-        #: custom queries reloaded from a previous coordinator's registrations
-        self.reloaded_queries = load_custom_queries(self.queries_path)
 
-    # -- lifecycle ------------------------------------------------------------
-    def start(self) -> None:
-        """Bind the HTTP front end and start the fan-out workers (idempotent)."""
-        if self._gateway is not None:
-            return
-        for index in range(max(1, self.config.fanout_workers)):
-            thread = threading.Thread(
-                target=self._fanout_loop, name=f"repro-fanout-{index}",
-                daemon=True)
-            thread.start()
-            self._threads.append(thread)
-        self._gateway = AsyncGateway(
-            self, COORDINATOR_ROUTES,
-            GatewayConfig.from_service_config(self.config))
-        self._gateway.start()
-
-    @property
-    def port(self) -> int:
-        """The actually bound TCP port (resolves ``port=0`` requests)."""
-        if self._gateway is not None:
-            return self._gateway.port
-        return self.config.port
-
-    @property
-    def url(self) -> str:
-        """Base URL of the running coordinator."""
-        return f"http://{self.config.host}:{self.port}"
-
-    def request_stop(self) -> None:
-        """Ask :meth:`serve_forever` to return (signal-handler safe)."""
-        self._stop_requested.set()
-
-    def stop(self) -> None:
-        """Graceful shutdown: HTTP first, then fan-out, then state."""
-        if self._stopped:
-            return
-        self._stopped = True
-        self._stop_requested.set()
-        if self._gateway is not None:
-            self._gateway.stop()
-            self._gateway = None
-        self._stop_event.set()
-        with self._wakeup:
-            self._wakeup.notify_all()
-        for thread in self._threads:
-            thread.join()
-        self._threads = []
-        self.jobstore.close()
+    def _close(self) -> None:
+        """Close the routing journal."""
         self.journal.close()
 
-    def serve_forever(self) -> None:
-        """Run until :meth:`request_stop` (or Ctrl-C), then shut down."""
-        self.start()
-        try:
-            self._stop_requested.wait()
-        except KeyboardInterrupt:
-            pass
-        self.stop()
-
-    def __enter__(self) -> "ClusterCoordinator":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
     # -- operations -----------------------------------------------------------
-    def submit(self, sources, analyses, options: Optional[dict] = None,
-               priority: Optional[str] = None,
-               tenant: Optional[str] = None) -> Job:
-        """Validate and enqueue a job for fan-out across every shard.
-
-        Parameters
-        ----------
-        sources:
-            ``[[id, source], ...]`` wire pairs to analyze.
-        analyses:
-            Analyzer ids to run, in order.
-        options:
-            Per-analyzer option mapping.
-        priority:
-            Scheduling lane (``interactive`` or ``batch``; the default);
-            forwarded to every shard sub-job at fan-out time.
-        tenant:
-            Tenant label recorded with the job (``X-Repro-Tenant``).
-        """
-        sources, analyses, options = validate_job_request(
-            sources, analyses, options, REGISTRY)
-        priority = validate_priority(priority)
-        job = self.jobstore.submit(sources, analyses, options,
-                                   priority=priority, tenant=tenant)
-        with self._wakeup:
-            self._wakeup.notify_all()
-        return job
-
-    def submit_workload(self, body, tenant: Optional[str] = None) -> Job:
-        """Validate and enqueue one workload job for fan-out across shards.
-
-        The descriptor is validated against the same registry the
-        workers use (decomposition is a pure function of the params, so
-        both sides agree on the chunk DAG); the fan-out loop then farms
-        chunk subsets out to the shards and merges their chunk rows.
-        """
-        try:
-            descriptor = validate_workload_request(body)
-        except WorkloadError as error:
-            raise ServiceValidationError(str(error)) from error
-        priority = validate_priority(body.get("priority"))
-        job = self.jobstore.submit(
-            [], [], priority=priority, tenant=tenant, workload=descriptor)
-        with self._wakeup:
-            self._wakeup.notify_all()
-        return job
-
-    def cancel_job(self, job_id: int) -> Optional[str]:
-        """Cancel one job; returns its (possibly unchanged) state.
-
-        Queued jobs are dropped immediately.  A running workload
-        fan-out observes the flag at its next chunk-poll boundary,
-        cancels its shard sub-jobs, and finishes ``cancelled`` with the
-        completed chunk rows kept for a later resume.
-        """
-        return self.jobstore.cancel(job_id)
-
-    def resume_workload(self, job_id: int) -> Job:
-        """Requeue a failed/cancelled workload fan-out, reusing done chunks."""
-        job = self.jobstore.get(job_id)
-        if job is None:
-            raise KeyError(job_id)
-        if job.workload is None:
-            raise ServiceValidationError(
-                f"job {job_id} is not a workload job")
-        try:
-            job = self.jobstore.requeue(job_id)
-        except ValueError as error:
-            raise ServiceValidationError(str(error)) from error
-        with self._wakeup:
-            self._wakeup.notify_all()
-        return job
-
     def register_query_spec(self, spec) -> dict:
         """Register a custom DSL query cluster-wide.
 
@@ -451,40 +265,24 @@ class ClusterCoordinator:
         that cannot be reached fails the request (HTTP 502); a retry
         converges because registration is replace-on-reregister.
         """
-        response = register_custom_query(spec, self.queries_path)
+        response = super().register_query_spec(spec)
         for name in sorted(self.shards):
             self.clients[name].register_query(response["query"])
         response["shards"] = sorted(self.shards)
         return response
-
-    def queries_payload(self) -> dict:
-        """The ``GET /v1/queries`` body: every active ccc query."""
-        return custom_queries_payload()
 
     def ingest(self, documents, remove=()) -> dict:
         """Route documents to their ring-assigned shards and journal them.
 
         Each document goes to exactly one worker (consistent hashing on
         its id); removals are routed to the shard the journal recorded.
-        A worker that cannot be reached fails the whole request (mapped
-        to HTTP 502) — shards already written stay written, and a retry
-        converges because routing is deterministic and worker ingest is
-        replace-on-reingest.
+        Diffs resolve against the journaled sources here, so workers
+        always receive full documents.  A worker that cannot be reached
+        fails the whole request (mapped to HTTP 502) — shards already
+        written stay written, and a retry converges because routing is
+        deterministic and worker ingest is replace-on-reingest.
         """
-        remove = validate_document_ids(remove, what="remove")
-        if documents is None and remove:
-            documents = []
-        else:
-            # delta objects (diffs, base_version guards) resolve against
-            # the journaled sources *here*, so workers always receive
-            # full documents regardless of how the client phrased them
-            try:
-                documents = resolve_ingest_documents(
-                    documents, self.journal.get)
-            except DeltaError as error:
-                raise ServiceValidationError(str(error)) from error
-        documents = list({document_id: (document_id, source)
-                          for document_id, source in documents}.values())
+        documents, remove = self._ingest_request(documents, remove, self.journal)
         with self._work_lock.write():  # exclusive: no fan-out during routing
             remove_batches: Dict[str, List[Hashable]] = {}
             for document_id in remove:
@@ -596,29 +394,21 @@ class ClusterCoordinator:
             "degraded": degraded,
         }
 
-    def stats(self) -> dict:
-        """The ``/v1/stats`` payload: own queue plus per-shard worker stats."""
+    def _role_stats(self) -> dict:
+        """The coordinator's ``/v1/stats`` fields: routing plus shard stats."""
         shards = {}
         for name in sorted(self.shards):
             try:
                 shards[name] = self.probes[name].stats()
             except (ServiceError, OSError) as error:
                 shards[name] = {"error": str(error)}
-        payload = {
+        return {
             "role": "coordinator",
-            "uptime_seconds": time.time() - self.started_at,
-            "jobs": self.jobstore.counts(),
-            "jobs_completed": self.jobs_completed,
-            "jobs_failed": self.jobs_failed,
-            "recovered_jobs": self.recovered_jobs,
             "documents": self.journal.count(),
             "routed": self.journal.per_shard_counts(),
             "ring": {"shards": len(self.ring), "replicas": self.ring.replicas},
             "shards": shards,
         }
-        if self._gateway is not None:
-            payload["gateway"] = self._gateway.gateway_stats()
-        return payload
 
     def cluster_status(self) -> dict:
         """The ``GET /v1/cluster`` payload: topology, health, routing."""
@@ -648,23 +438,6 @@ class ClusterCoordinator:
         }
 
     # -- fan-out --------------------------------------------------------------
-    def _fanout_loop(self) -> None:
-        while not self._stop_event.is_set():
-            job = self.jobstore.claim_next()
-            if job is None:
-                with self._wakeup:
-                    self._wakeup.wait(self.config.poll_interval)
-                continue
-            try:
-                with self._work_lock.read():  # never fan out mid-rebalance
-                    self._run_fanout(job)
-            except Exception as error:  # noqa: BLE001 — keep the loop alive
-                traceback.print_exc()
-                self.jobstore.finish(
-                    job.job_id, "failed",
-                    error=f"{type(error).__name__}: {error}")
-                self.jobs_failed += 1
-
     def _scatter_analyses(self, job: Job) -> set:
         """Which of the job's analyses carry corpus-partitioned payloads.
 
@@ -679,11 +452,14 @@ class ClusterCoordinator:
                 scatter.add("ccd")
         return scatter
 
-    def _run_fanout(self, job: Job) -> None:
-        """Scatter one claimed job to every shard and gather the merge."""
+    def _run(self, job: Job, should_stop) -> Outcome:
+        """Scatter one claimed job to every shard and gather the merge.
+
+        Returns ``None`` when ``should_stop`` interrupts the wait: the
+        job stays ``running`` and the next coordinator fans it out again.
+        """
         if job.workload is not None:
-            self._run_workload_fanout(job)
-            return
+            return self._run_workload_fanout(job, should_stop)
         names = sorted(self.shards)
         submitted: Dict[str, int] = {}
         degraded: List[str] = []
@@ -698,9 +474,7 @@ class ClusterCoordinator:
                     # the same way, so the job fails rather than degrades
                     self.jobstore.set_fanout(
                         job.job_id, {"shards": submitted, "degraded": degraded})
-                    self.jobstore.finish(job.job_id, "failed", error=str(error))
-                    self.jobs_failed += 1
-                    return
+                    return "failed", str(error)
                 degraded.append(name)
                 continue
             except OSError:
@@ -715,15 +489,15 @@ class ClusterCoordinator:
         for name in names:
             if name not in submitted:
                 continue
-            outcome, value = self._await_shard(name, submitted[name], deadline)
+            outcome, value = self._await_shard(
+                name, submitted[name], deadline, should_stop)
+            if outcome == "stopped":
+                return None
             if outcome == "failed":
                 self.jobstore.set_fanout(
                     job.job_id,
                     {"shards": submitted, "degraded": sorted(set(degraded))})
-                self.jobstore.finish(
-                    job.job_id, "failed", error=f"shard {name}: {value}")
-                self.jobs_failed += 1
-                return
+                return "failed", f"shard {name}: {value}"
             if outcome == "unreachable":
                 degraded.append(name)
                 continue
@@ -733,16 +507,11 @@ class ClusterCoordinator:
         self.jobstore.set_fanout(
             job.job_id, {"shards": submitted, "degraded": degraded})
         if not shard_lines:
-            self.jobstore.finish(
-                job.job_id, "failed",
-                error=f"all shards unreachable: {', '.join(degraded)}")
-            self.jobs_failed += 1
-            return
+            return "failed", f"all shards unreachable: {', '.join(degraded)}"
         merged = merge_shard_results(shard_lines, self._scatter_analyses(job))
         for seq, line in enumerate(merged):
             self.jobstore.append_result(job.job_id, seq, line)
-        self.jobstore.finish(job.job_id, "done")
-        self.jobs_completed += 1
+        return "done", None
 
     # -- workload fan-out ------------------------------------------------------
     def _live_shards(self) -> List[str]:
@@ -756,7 +525,7 @@ class ClusterCoordinator:
                 continue
         return live
 
-    def _cancel_workload_fanout(self, job: Job, submitted: Dict[str, int]) -> None:
+    def _cancel_workload_fanout(self, job: Job, submitted: Dict[str, int]) -> Outcome:
         """Honour a cancel request: stop shard sub-jobs, keep done chunks."""
         for name in sorted(submitted):
             try:
@@ -764,9 +533,9 @@ class ClusterCoordinator:
             except (ServiceError, OSError):
                 pass  # the shard is gone; its sub-job dies with it
         self.jobstore.cancel_pending_chunks(job.job_id)
-        self.jobstore.finish(job.job_id, "cancelled")
+        return "cancelled", None
 
-    def _run_workload_fanout(self, job: Job) -> None:
+    def _run_workload_fanout(self, job: Job, should_stop) -> Outcome:
         """Farm one workload's chunk DAG across the shards and merge.
 
         The chunk grid is decomposed locally (decomposition is a pure
@@ -795,9 +564,10 @@ class ClusterCoordinator:
         for round_index in range(2):  # first pass + one redistribution
             if not pending:
                 break
+            if should_stop():
+                return None
             if self.jobstore.is_cancel_requested(job.job_id):
-                self._cancel_workload_fanout(job, submitted)
-                return
+                return self._cancel_workload_fanout(job, submitted)
             live = self._live_shards()
             if not live:
                 break
@@ -815,10 +585,7 @@ class ClusterCoordinator:
                     if 400 <= error.status < 500:
                         # deterministic rejection: every shard would
                         # refuse the same way, so fail rather than degrade
-                        self.jobstore.finish(
-                            job.job_id, "failed", error=str(error))
-                        self.jobs_failed += 1
-                        return
+                        return "failed", str(error)
                     degraded.append(name)
                     continue
                 except OSError:
@@ -831,15 +598,13 @@ class ClusterCoordinator:
             deadline = time.monotonic() + self.config.shard_timeout
             for name in sorted(submitted):
                 outcome, value = self._await_workload_shard(
-                    job, name, submitted[name], deadline)
+                    job, name, submitted[name], deadline, should_stop)
+                if outcome == "stopped":
+                    return None
                 if outcome == "cancelled":
-                    self._cancel_workload_fanout(job, submitted)
-                    return
+                    return self._cancel_workload_fanout(job, submitted)
                 if outcome == "failed":
-                    self.jobstore.finish(
-                        job.job_id, "failed", error=f"shard {name}: {value}")
-                    self.jobs_failed += 1
-                    return
+                    return "failed", f"shard {name}: {value}"
                 if outcome == "unreachable":
                     degraded.append(name)
             pending = [chunk for chunk, _spec
@@ -849,29 +614,26 @@ class ClusterCoordinator:
         self.jobstore.set_fanout(
             job.job_id, {"shards": submitted, "degraded": degraded})
         if pending:
-            self.jobstore.finish(
-                job.job_id, "failed",
-                error=f"{len(pending)} chunk(s) never completed; "
-                      f"degraded shards: {', '.join(degraded) or 'none'}")
-            self.jobs_failed += 1
-            return
+            return "failed", (f"{len(pending)} chunk(s) never completed; "
+                              f"degraded shards: {', '.join(degraded) or 'none'}")
         if restrict is None:
             rows = self.jobstore.chunks(job.job_id)
             results = [json.loads(row["result"]) for row in rows]
             report = workload.merge(params, results)
             self.jobstore.append_result(job.job_id, 0, canonical_json(report))
-        self.jobstore.finish(job.job_id, "done")
-        self.jobs_completed += 1
+        return "done", None
 
     def _await_workload_shard(self, job: Job, name: str, remote_id: int,
-                              deadline: float) -> Tuple[str, Optional[str]]:
+                              deadline: float,
+                              should_stop) -> Tuple[str, Optional[str]]:
         """Poll one shard's restricted sub-workload and copy its chunk rows.
 
         Returns ``("done", None)`` after copying the finished rows into
         the coordinator's chunk table (result strings verbatim, so the
         bytes survive the hop), ``("failed", error)`` on a deterministic
         chunk failure, ``("cancelled", None)`` when this coordinator job
-        was cancelled mid-poll, or ``("unreachable", None)`` when the
+        was cancelled mid-poll, ``("stopped", None)`` once
+        ``should_stop()`` is true, or ``("unreachable", None)`` when the
         worker stays down (or its sub-job vanished) past ``deadline`` —
         the chunks stay pending for the redistribution round.
         """
@@ -902,16 +664,19 @@ class ClusterCoordinator:
                     return "unreachable", None
             except OSError:
                 pass  # worker down or restarting; keep polling
-            if self._stop_event.is_set() or time.monotonic() >= deadline:
+            if should_stop():
+                return "stopped", None
+            if time.monotonic() >= deadline:
                 return "unreachable", None
-            time.sleep(self.config.poll_interval)
+            time.sleep(POLL_INTERVAL)
 
-    def _await_shard(self, name: str, remote_id: int,
-                     deadline: float) -> Tuple[str, Optional[object]]:
+    def _await_shard(self, name: str, remote_id: int, deadline: float,
+                     should_stop) -> Tuple[str, Optional[object]]:
         """Poll one shard's sub-job to completion.
 
         Returns ``("done", [canonical line, ...])``, ``("failed",
-        error_message)`` for a deterministic analyzer failure, or
+        error_message)`` for a deterministic analyzer failure,
+        ``("stopped", None)`` once ``should_stop()`` is true, or
         ``("unreachable", None)`` when the worker stays down (or the
         sub-job vanished) past ``deadline``.  A worker that dies and
         comes back mid-poll is ridden out: its own job store requeues
@@ -935,9 +700,11 @@ class ClusterCoordinator:
                     return "unreachable", None
             except OSError:
                 pass  # worker down or restarting; keep polling
-            if self._stop_event.is_set() or time.monotonic() >= deadline:
+            if should_stop():
+                return "stopped", None
+            if time.monotonic() >= deadline:
                 return "unreachable", None
-            time.sleep(self.config.poll_interval)
+            time.sleep(POLL_INTERVAL)
 
 
 __all__ = [

@@ -57,6 +57,7 @@ from repro.service.routes import (
     Stream,
     error_response,
 )
+from repro.service.scheduler import POLL_INTERVAL
 
 #: tenant label applied when a request carries no ``X-Repro-Tenant``
 DEFAULT_TENANT = "default"
@@ -218,8 +219,6 @@ class GatewayConfig:
     max_body_bytes: int = 256 * 1024 * 1024
     #: request heads beyond this are refused with 431
     max_header_bytes: int = 65536
-    #: stream-endpoint poll interval
-    poll_interval: float = 0.05
     #: ``Retry-After`` seconds suggested on a full pending-job queue
     retry_after: float = 1.0
     #: write one access-log line per request to stderr
@@ -227,11 +226,10 @@ class GatewayConfig:
 
     @classmethod
     def from_service_config(cls, config) -> "GatewayConfig":
-        """Build from a ``ServiceConfig`` or ``CoordinatorConfig``.
+        """Build from a daemon's :class:`~repro.service.server.DaemonConfig`.
 
-        Reads the shared daemon knobs (bind address, gateway bounds,
-        quota-file path, access logging) off whichever config class
-        carries them.
+        Reads the shared daemon knobs: bind address, gateway bounds,
+        quota-file path, coalescing, and access logging.
         """
         quotas = config.tenant_quotas
         if quotas and not (isinstance(quotas, dict) and all(
@@ -245,7 +243,6 @@ class GatewayConfig:
             max_connections=config.max_connections,
             tenant_quotas=quotas or {},
             coalesce=config.coalesce,
-            poll_interval=config.poll_interval,
             log_requests=config.log_requests,
         )
 
@@ -256,8 +253,8 @@ class AsyncGateway:
     Parameters
     ----------
     service:
-        The daemon the route handlers operate on: an ``AnalysisService``
-        or a ``ClusterCoordinator``.
+        The :class:`~repro.service.server.Daemon` the route handlers
+        operate on: an ``AnalysisService`` or a ``ClusterCoordinator``.
     routes:
         That daemon role's route table.
     config:
@@ -619,7 +616,7 @@ class AsyncGateway:
             if (stream.deadline is not None
                     and time.monotonic() >= stream.deadline):
                 break
-            await asyncio.sleep(self.config.poll_interval)
+            await asyncio.sleep(POLL_INTERVAL)
         writer.write(b"0\r\n\r\n")
         await writer.drain()
 

@@ -1,26 +1,30 @@
-"""The worker pool draining the job queue through one resident session.
+"""The one queue-draining pool of both daemon roles.
 
 A :class:`Scheduler` owns a small pool of threads, each of which loops:
-claim the oldest ``queued`` job (:meth:`~repro.service.jobstore.JobStore.claim_next`),
-run it through the shared resident
-:class:`~repro.api.session.AnalysisSession`, persist each envelope as it
-completes, and mark the job ``done`` or ``failed``.  All jobs share the
-session's single warm :class:`~repro.core.artifacts.ArtifactStore` and
-loaded CCD index, which is the whole point of the daemon: the corpus is
-parsed and indexed once per *process*, not once per request.
-
-Jobs run through :meth:`AnalysisSession.run_iter` (the streaming entry
-point over :meth:`Executor.imap_batches`), so envelopes land in the job
-store incrementally — ``GET /v1/jobs/{id}/stream`` serves them while the
-job is still running.
+claim the next ``queued`` job (:meth:`~repro.service.jobstore.JobStore.claim_next`),
+hand it to the daemon's ``run`` callable, and record the outcome —
+``finish`` the job ``done``, ``failed`` or ``cancelled`` and count it.
+The roles differ only in ``run``: a worker
+(:class:`~repro.service.server.AnalysisService`) runs the job through
+its resident :class:`~repro.api.session.AnalysisSession`, persisting
+each envelope as it completes; the cluster coordinator
+(:class:`~repro.service.coordinator.ClusterCoordinator`) fans it out to
+its shards and merges their envelopes.  ``run`` returns ``None`` when a
+graceful stop interrupts it: the job stays ``running`` and the next
+daemon over the same data directory requeues it, as after a kill.
 
 The default is one worker, which keeps job execution strictly FIFO.
 More workers run jobs concurrently (the artifact store is thread-safe
 and every job gets its own analyzer state); a shared
 :class:`ReadWriteLock` coordinates them with corpus ingest — jobs are
-*readers* of the resident index, ingest is the exclusive *writer*,
-because appending to the live N-gram index while a clone query walks
-its postings is not safe.
+*readers* of the resident index (or, on a coordinator, of the shard
+routing), ingest and rebalance are the exclusive *writers*.
+
+Every loop that still sleeps while it waits on a job — this pool when
+idle, the stream endpoint, the coordinator's shard waits,
+:meth:`~repro.service.client.ServiceClient.wait` — sleeps
+:data:`POLL_INTERVAL`; submissions also :meth:`~Scheduler.notify` the
+pool, so for the pool the interval is a fallback, not the latency floor.
 """
 
 from __future__ import annotations
@@ -28,11 +32,16 @@ from __future__ import annotations
 import contextlib
 import threading
 import traceback
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
-from repro.api.envelope import canonical_json
-from repro.api.session import AnalysisSession
 from repro.service.jobstore import Job, JobStore
+
+#: seconds every job-waiting loop sleeps between polls
+POLL_INTERVAL = 0.05
+
+#: what ``run`` returns: a terminal ``(state, error)``, or ``None`` to
+#: leave the job ``running`` for crash recovery (a graceful stop)
+Outcome = Optional[Tuple[str, Optional[str]]]
 
 
 class ReadWriteLock:
@@ -84,52 +93,47 @@ class ReadWriteLock:
 
 
 class Scheduler:
-    """Drain a :class:`~repro.service.jobstore.JobStore` through a session.
+    """Drain a :class:`~repro.service.jobstore.JobStore` through ``run``.
 
     Parameters
     ----------
-    session:
-        The resident analysis session every job runs through.
     jobstore:
         The persistent queue to drain.
-    resolve_options:
-        Optional hook mapping a claimed :class:`Job` to the options dict
-        passed to ``run_iter`` — the service uses it to inject the
-        resident clone-detector index into ``ccd`` jobs.
+    run:
+        ``run(job, should_stop) -> (state, error) | None`` executes one
+        claimed job.  ``should_stop()`` turns true once :meth:`close`
+        was called; ``run`` then returns ``None`` at its next safe point
+        and the job is left ``running`` for recovery.  Otherwise the
+        pool finishes the job in the returned terminal state; an
+        exception fails it with ``"{type}: {message}"``.
     workers:
         Worker thread count (default 1: strict FIFO execution; more
         workers run claimed jobs concurrently).
-    poll_interval:
-        Idle wait between queue polls; submissions also :meth:`notify`
-        the pool so the wait is a fallback, not the latency floor.
     work_lock:
         The :class:`ReadWriteLock` coordinating jobs (readers) with
-        corpus ingest (the writer); the service shares one instance
+        corpus ingest (the writer); the daemon shares one instance
         between this pool and its ingest path.
     """
 
     def __init__(
         self,
-        session: AnalysisSession,
         jobstore: JobStore,
-        resolve_options: Optional[Callable[[Job], dict]] = None,
+        run: Callable[[Job, Callable[[], bool]], Outcome],
         workers: int = 1,
-        poll_interval: float = 0.1,
         work_lock: Optional[ReadWriteLock] = None,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        self.session = session
         self.jobstore = jobstore
-        self.resolve_options = resolve_options
+        self.run = run
         self.workers = workers
-        self.poll_interval = poll_interval
         self.work_lock = work_lock if work_lock is not None else ReadWriteLock()
         self._threads: list = []
         self._stop = threading.Event()
         self._wakeup = threading.Event()
         self._idle = threading.Condition()
         self._running_jobs = 0
+        self._counter_lock = threading.Lock()
         self.jobs_completed = 0
         self.jobs_failed = 0
         #: completed jobs per priority lane, for /v1/stats
@@ -155,8 +159,9 @@ class Scheduler:
     def close(self) -> None:
         """Stop the pool and join every worker (idempotent, graceful).
 
-        The job a worker is currently running finishes and is persisted;
-        everything still queued stays ``queued`` for the next daemon.
+        Each running job either finishes and is persisted or, if its
+        ``run`` honours the stop, stays ``running`` for the next daemon;
+        everything still queued stays ``queued``.
         """
         self._stop.set()
         self._wakeup.set()
@@ -187,11 +192,9 @@ class Scheduler:
                 # exhausted: log, back off, and keep draining — a dead
                 # worker would leave the daemon healthy-looking but inert
                 traceback.print_exc()
-                self._wakeup.wait(self.poll_interval)
-                self._wakeup.clear()
-                continue
+                job = None
             if job is None:
-                self._wakeup.wait(self.poll_interval)
+                self._wakeup.wait(POLL_INTERVAL)
                 self._wakeup.clear()
                 continue
             with self._idle:
@@ -205,54 +208,26 @@ class Scheduler:
                     self._idle.notify_all()
 
     def _run_job(self, job: Job) -> None:
-        """Run one claimed job; persist envelopes incrementally; finish it."""
+        """Run one claimed job, then finish and count it by its outcome."""
         try:
-            if job.workload is not None:
-                self._run_workload(job)
-                return
-            if job.cancel_requested:
-                # cancelled between claim and execution: honour it here,
-                # before any envelope is computed
-                self.jobstore.finish(job.job_id, "cancelled")
-                return
-            options = (self.resolve_options(job)
-                       if self.resolve_options is not None else job.options)
-            corpus = [tuple(pair) for pair in job.corpus]
-            for seq, envelope in enumerate(self.session.run_iter(
-                    corpus, analyses=list(job.analyses), options=options)):
-                self.jobstore.append_result(
-                    job.job_id, seq, canonical_json(envelope))
-            self.jobstore.finish(job.job_id, "done")
-            self.jobs_completed += 1
-            if job.priority in self.jobs_by_lane:
-                self.jobs_by_lane[job.priority] += 1
+            outcome = self.run(job, self._stop.is_set)
         except Exception as error:  # a failed job must never kill the worker
-            self.jobs_failed += 1
-            try:
-                self.jobstore.finish(
-                    job.job_id, "failed", error=f"{type(error).__name__}: {error}")
-            except RuntimeError:
-                pass  # store closed mid-shutdown; recovery requeues the job
-
-    def _run_workload(self, job: Job) -> None:
-        """Run one workload job chunk by chunk (see ``service.workloads``).
-
-        A graceful pool shutdown mid-workload leaves the job ``running``
-        (outcome ``paused``): crash recovery requeues it on the next
-        start and the completed chunks are reused, exactly like a crash.
-        """
-        from repro.service.workloads import run_workload_job
-
-        outcome = run_workload_job(
-            job, self.jobstore, session=self.session,
-            should_stop=self._stop.is_set)
-        if outcome == "paused":
-            return
-        self.jobstore.finish(job.job_id, outcome)
-        if outcome == "done":
-            self.jobs_completed += 1
-            if job.priority in self.jobs_by_lane:
-                self.jobs_by_lane[job.priority] += 1
+            traceback.print_exc()
+            outcome = ("failed", f"{type(error).__name__}: {error}")
+        if outcome is None:
+            return  # stopped mid-job: left running, recovery requeues it
+        state, error = outcome
+        try:
+            self.jobstore.finish(job.job_id, state, error=error)
+        except RuntimeError:
+            pass  # store closed mid-shutdown; recovery requeues the job
+        with self._counter_lock:
+            if state == "done":
+                self.jobs_completed += 1
+                if job.priority in self.jobs_by_lane:
+                    self.jobs_by_lane[job.priority] += 1
+            elif state == "failed":
+                self.jobs_failed += 1
 
 
-__all__ = ["ReadWriteLock", "Scheduler"]
+__all__ = ["Outcome", "POLL_INTERVAL", "ReadWriteLock", "Scheduler"]

@@ -1,8 +1,16 @@
-"""The analysis service daemon: a stdlib HTTP API over one warm session.
+"""The daemon core, and the worker daemon: an HTTP API over one warm session.
 
-:class:`AnalysisService` keeps the expensive state of the reproduction
-*resident* — one :class:`~repro.api.session.AnalysisSession` (a warm
-parse-once artifact store plus an executor pool) and one live
+:class:`Daemon` is what both daemon roles share: the durable job store
+and its crash recovery, the :class:`~repro.service.scheduler.Scheduler`
+draining it, the ingest/job read-write lock, the gateway lifecycle, job
+submission and cancellation, custom-query registration, and the common
+``/v1/stats`` counters.  Its two roles differ only in how they run a
+claimed job and what they hold: the worker here, and the cluster
+coordinator (:class:`~repro.service.coordinator.ClusterCoordinator`).
+
+:class:`AnalysisService`, the worker, keeps the expensive state of the
+reproduction *resident* — one :class:`~repro.api.session.AnalysisSession`
+(a warm parse-once artifact store plus an executor pool) and one live
 :class:`~repro.ccd.detector.CloneDetector` index — and serves analysis
 jobs over HTTP.  Every batch entry point pays index/parse warm-up per
 invocation; the daemon pays it once per process and amortizes it over
@@ -30,6 +38,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+from repro.api.envelope import canonical_json
+from repro.api.registry import REGISTRY
 from repro.api.session import AnalysisSession, SessionConfig
 from repro.ccd.detector import CloneDetector
 from repro.ccd.index_io import MANIFEST_NAME, append_to_index
@@ -50,9 +60,13 @@ from repro.service.jobstore import (
     Job,
     JobStore,
 )
-from repro.service.routes import WORKER_ROUTES, ServiceValidationError
-from repro.service.scheduler import ReadWriteLock, Scheduler
-from repro.service.workloads import WorkloadError, validate_workload_request
+from repro.service.routes import WORKER_ROUTES, RouteTable, ServiceValidationError
+from repro.service.scheduler import Outcome, ReadWriteLock, Scheduler
+from repro.service.workloads import (
+    WorkloadError,
+    run_workload_job,
+    validate_workload_request,
+)
 
 #: every HTTP route the daemon serves, read off its route table — kept
 #: in lockstep with ``docs/service.md`` by ``tools/check_api.py``
@@ -154,20 +168,44 @@ def validate_document_ids(document_ids, what: str) -> list:
 
 
 @dataclass(frozen=True)
-class ServiceConfig:
-    """Typed configuration of an :class:`AnalysisService` daemon.
+class DaemonConfig:
+    """The settings both daemon roles share.
 
-    Extends the session knobs of
-    :class:`~repro.api.session.SessionConfig` with the daemon's own:
-    bind address, data directory (job store + index + cache), worker
-    count, and index shard layout.
+    Bind address, data directory, the gateway's admission bounds, and
+    the job queue's lane aging; :class:`ServiceConfig` and
+    :class:`~repro.service.coordinator.CoordinatorConfig` extend it with
+    their role's own knobs.
     """
 
-    #: directory holding ``jobs.sqlite``, ``index/``, and ``cache/``
+    #: directory holding ``jobs.sqlite`` and the role's own state
     data_dir: str = "repro-service"
     host: str = "127.0.0.1"
     #: TCP port; ``0`` binds an ephemeral free port (see ``port`` property)
     port: int = 8741
+    #: emit one access-log line per request to stderr
+    log_requests: bool = False
+    #: queued+running jobs beyond this are shed with 503
+    max_pending_jobs: int = 256
+    #: open connections beyond this are shed with 503
+    max_connections: int = 1024
+    #: path of a TOML/JSON per-tenant quota file
+    tenant_quotas: Optional[str] = None
+    #: coalesce concurrent identical job submissions
+    coalesce: bool = True
+    #: interactive claims a waiting batch job tolerates before it is served
+    batch_aging: int = DEFAULT_BATCH_AGING
+
+
+@dataclass(frozen=True)
+class ServiceConfig(DaemonConfig):
+    """Typed configuration of an :class:`AnalysisService` daemon.
+
+    Extends the shared :class:`DaemonConfig` with the session knobs of
+    :class:`~repro.api.session.SessionConfig` and the worker's own:
+    scheduler worker count and index shard layout.  The data directory
+    holds ``jobs.sqlite``, ``index/``, and ``cache/``.
+    """
+
     #: executor backend of the resident session
     backend: str = "thread"
     max_workers: Optional[int] = None
@@ -187,20 +225,6 @@ class ServiceConfig:
     stream_window: int = 4
     #: hash-prefix shards of the persisted index
     index_shards: int = 4
-    #: idle queue-poll interval of the scheduler and the stream endpoint
-    poll_interval: float = 0.05
-    #: emit one access-log line per request to stderr
-    log_requests: bool = False
-    #: queued+running jobs beyond this are shed with 503
-    max_pending_jobs: int = 256
-    #: open connections beyond this are shed with 503
-    max_connections: int = 1024
-    #: path of a TOML/JSON per-tenant quota file
-    tenant_quotas: Optional[str] = None
-    #: coalesce concurrent identical job submissions
-    coalesce: bool = True
-    #: interactive claims a waiting batch job tolerates before it is served
-    batch_aging: int = DEFAULT_BATCH_AGING
 
     def session_config(self) -> SessionConfig:
         """The resident session this daemon configuration describes."""
@@ -226,45 +250,262 @@ class ServiceConfig:
         )
 
 
-class AnalysisService:
-    """The resident daemon: warm session + live index + queue + HTTP API.
+class Daemon:
+    """The core both daemon roles share: queue, scheduler, gateway, submission.
 
-    Constructing the service performs crash recovery (requeueing jobs a
-    killed daemon left ``running``) and reloads the persisted CCD index
-    with zero parses; :meth:`start` binds the HTTP server and spawns the
-    scheduler workers.  Use as a context manager, or pair
-    :meth:`start`/:meth:`stop` (both idempotent).
+    Constructing a daemon performs crash recovery on its job store
+    (requeueing jobs a killed daemon left ``running``) and reloads the
+    custom queries it registered; :meth:`start` spawns the
+    :class:`~repro.service.scheduler.Scheduler` and binds the HTTP
+    gateway.  Use as a context manager, or pair :meth:`start`/:meth:`stop`
+    (both idempotent).
+
+    A role sets :attr:`route_table` and implements ``_run`` (run one
+    claimed job, returning its outcome) and ``_close`` (release its own
+    state once the scheduler has stopped).
     """
 
-    def __init__(self, config: Optional[ServiceConfig] = None):
-        self.config = config if config is not None else ServiceConfig()
-        self.data_dir = Path(self.config.data_dir)
+    #: the ``/v1/*`` route table this role serves
+    route_table: RouteTable
+
+    def __init__(self, config: DaemonConfig, workers: int = 1):
+        self.config = config
+        self.data_dir = Path(config.data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self.started_at = time.time()
-        self.session = AnalysisSession(self.config.session_config())
         self.jobstore = JobStore(self.data_dir / JOBS_DATABASE_NAME,
-                                 batch_aging=self.config.batch_aging)
+                                 batch_aging=config.batch_aging)
         #: jobs requeued from a previous daemon's crash, for /v1/stats
         self.recovered_jobs = self.jobstore.recover()
-        self.index_dir = self.data_dir / INDEX_DIRECTORY_NAME
-        self.detector = self._open_detector()
-        #: retained sources backing the diff ingest form and `repro watch`
-        self.source_journal = SourceJournal(
-            self.data_dir / SOURCES_DATABASE_NAME)
+        #: jobs hold the read side, ingest (and rebalance) the write side
         self._work_lock = ReadWriteLock()
-        self.scheduler = Scheduler(
-            self.session, self.jobstore,
-            resolve_options=self._job_options,
-            workers=self.config.workers,
-            poll_interval=self.config.poll_interval,
-            work_lock=self._work_lock,
-        )
+        self.scheduler = Scheduler(self.jobstore, self._run, workers=workers,
+                                   work_lock=self._work_lock)
         self._gateway: Optional[AsyncGateway] = None
         self._stop_requested = threading.Event()
         self._stopped = False
         self.queries_path = self.data_dir / QUERIES_FILE_NAME
         #: custom queries reloaded from a previous daemon's registrations
         self.reloaded_queries = load_custom_queries(self.queries_path)
+
+    def _run(self, job: Job, should_stop) -> Outcome:
+        """Run one claimed job; see :class:`~repro.service.scheduler.Scheduler`."""
+        raise NotImplementedError
+
+    def _close(self) -> None:
+        """Release the role's own state after the scheduler has stopped."""
+
+    # -- lifecycle ------------------------------------------------------------
+    def start(self) -> None:
+        """Start draining the queue and bind the HTTP front end (idempotent)."""
+        if self._gateway is not None:
+            return
+        self.scheduler.start()
+        self._gateway = AsyncGateway(
+            self, self.route_table, GatewayConfig.from_service_config(self.config))
+        self._gateway.start()
+
+    @property
+    def port(self) -> int:
+        """The actually bound TCP port (resolves ``port=0`` requests)."""
+        if self._gateway is not None:
+            return self._gateway.port
+        return self.config.port
+
+    @property
+    def url(self) -> str:
+        """Base URL of the running daemon."""
+        return f"http://{self.config.host}:{self.port}"
+
+    def request_stop(self) -> None:
+        """Ask :meth:`serve_forever` to return (signal-handler safe)."""
+        self._stop_requested.set()
+
+    def stop(self) -> None:
+        """Graceful shutdown: HTTP first, then the scheduler, then state.
+
+        Idempotent.  A running worker job finishes and is persisted; a
+        running workload, or a coordinator fan-out, stays ``running`` and
+        is requeued by the next daemon over the same data directory, as
+        after a kill.  Queued jobs stay queued.
+        """
+        if self._stopped:
+            return
+        self._stopped = True
+        self._stop_requested.set()
+        if self._gateway is not None:
+            self._gateway.stop()
+            self._gateway = None
+        self.scheduler.close()
+        self._close()
+        self.jobstore.close()
+
+    def serve_forever(self) -> None:
+        """Run until :meth:`request_stop` (or Ctrl-C), then shut down."""
+        self.start()
+        try:
+            self._stop_requested.wait()
+        except KeyboardInterrupt:
+            pass
+        self.stop()
+
+    def __enter__(self) -> "Daemon":
+        self.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
+
+    # -- operations (shared by the route tables, the CLI, and tests) ----------
+    def submit(self, sources, analyses, options: Optional[dict] = None,
+               priority: Optional[str] = None,
+               tenant: Optional[str] = None) -> Job:
+        """Validate and enqueue a job, waking the scheduler.
+
+        Parameters
+        ----------
+        sources:
+            ``[[id, source], ...]`` wire pairs to analyze.
+        analyses:
+            Analyzer ids to run, in order.
+        options:
+            Per-analyzer option mapping.
+        priority:
+            Scheduling lane (``interactive`` or ``batch``; the default);
+            a coordinator forwards it to every shard sub-job.
+        tenant:
+            Tenant label recorded with the job (``X-Repro-Tenant``).
+        """
+        sources, analyses, options = validate_job_request(
+            sources, analyses, options, REGISTRY)
+        priority = validate_priority(priority)
+        job = self.jobstore.submit(sources, analyses, options,
+                                   priority=priority, tenant=tenant)
+        self.scheduler.notify()
+        return job
+
+    def submit_workload(self, body, tenant: Optional[str] = None) -> Job:
+        """Validate and enqueue one workload job, waking the scheduler.
+
+        ``body`` is the ``POST /v1/workloads`` wire object (``kind`` +
+        ``params`` + optional ``priority``/``chunks``); the validated
+        descriptor is persisted with the job so a restarted daemon can
+        resume it from its completed chunks.  Decomposition is a pure
+        function of the params, so a coordinator and its workers agree
+        on the chunk grid.
+        """
+        try:
+            descriptor = validate_workload_request(body)
+        except WorkloadError as error:
+            raise ServiceValidationError(str(error)) from error
+        priority = validate_priority(body.get("priority"))
+        job = self.jobstore.submit(
+            [], [], priority=priority, tenant=tenant, workload=descriptor)
+        self.scheduler.notify()
+        return job
+
+    def cancel_job(self, job_id: int) -> Optional[str]:
+        """Cancel one job; returns its (possibly unchanged) state.
+
+        Queued jobs are dropped immediately; running workloads stop at
+        the next chunk boundary (a coordinator also cancels its shard
+        sub-jobs), and their completed chunks stay persisted for a later
+        resume; terminal jobs are left untouched.  Returns ``None`` for
+        unknown ids.
+        """
+        return self.jobstore.cancel(job_id)
+
+    def resume_workload(self, job_id: int) -> Job:
+        """Requeue a failed/cancelled workload job, reusing done chunks."""
+        job = self.jobstore.get(job_id)
+        if job is None:
+            raise KeyError(job_id)
+        if job.workload is None:
+            raise ServiceValidationError(
+                f"job {job_id} is not a workload job")
+        try:
+            job = self.jobstore.requeue(job_id)
+        except ValueError as error:
+            raise ServiceValidationError(str(error)) from error
+        self.scheduler.notify()
+        return job
+
+    def register_query_spec(self, spec) -> dict:
+        """Validate, register, and persist one custom DSL query.
+
+        The spec is pure data (see :mod:`repro.ccc.custom`) — nothing in
+        it is executed.  Registered specs are persisted to
+        ``queries.json`` in the data dir and reloaded on daemon startup,
+        so a custom query survives restarts like the rest of the state.
+        """
+        return register_custom_query(spec, self.queries_path)
+
+    def queries_payload(self) -> dict:
+        """The ``GET /v1/queries`` body: every active ccc query."""
+        return custom_queries_payload()
+
+    def stats(self) -> dict:
+        """The ``/v1/stats`` payload: queue counters plus the role's own."""
+        scheduler = self.scheduler
+        payload = {
+            "uptime_seconds": time.time() - self.started_at,
+            "jobs": self.jobstore.counts(),
+            "jobs_completed": scheduler.jobs_completed,
+            "jobs_failed": scheduler.jobs_failed,
+            "jobs_by_lane": dict(scheduler.jobs_by_lane),
+            "recovered_jobs": self.recovered_jobs,
+            **self._role_stats(),
+        }
+        if self._gateway is not None:
+            payload["gateway"] = self._gateway.gateway_stats()
+        return payload
+
+    def _role_stats(self) -> dict:
+        """The role-specific ``/v1/stats`` fields."""
+        raise NotImplementedError
+
+    def _ingest_request(self, documents, remove, journal) -> tuple:
+        """Validate one ingest request into ``(documents, remove)``.
+
+        Delta objects (diffs, ``base_version`` guards) resolve against
+        ``journal``'s retained sources, so the ingest path only ever sees
+        full ``(id, source)`` pairs; duplicate ids within one batch
+        collapse to the last occurrence.
+        """
+        remove = validate_document_ids(remove, what="remove")
+        if documents is None and remove:
+            documents = []
+        else:
+            try:
+                documents = resolve_ingest_documents(documents, journal.get)
+            except DeltaError as error:
+                raise ServiceValidationError(str(error)) from error
+        documents = list({document_id: (document_id, source)
+                          for document_id, source in documents}.values())
+        return documents, remove
+
+
+class AnalysisService(Daemon):
+    """The worker daemon: warm session + live index + queue + HTTP API.
+
+    Constructing the service performs crash recovery (see
+    :class:`Daemon`) and reloads the persisted CCD index with zero
+    parses; :meth:`start` binds the HTTP server and spawns the scheduler
+    workers.  Use as a context manager, or pair :meth:`start`/:meth:`stop`
+    (both idempotent).
+    """
+
+    route_table = WORKER_ROUTES
+
+    def __init__(self, config: Optional[ServiceConfig] = None):
+        config = config if config is not None else ServiceConfig()
+        super().__init__(config, workers=config.workers)
+        self.session = AnalysisSession(config.session_config())
+        self.index_dir = self.data_dir / INDEX_DIRECTORY_NAME
+        self.detector = self._open_detector()
+        #: retained sources backing the diff ingest form and `repro watch`
+        self.source_journal = SourceJournal(
+            self.data_dir / SOURCES_DATABASE_NAME)
 
     def _open_detector(self) -> CloneDetector:
         """Reload the persisted index (zero parses) or start an empty one."""
@@ -299,150 +540,34 @@ class AnalysisService:
             score_memo=ScoreMemoTable(self.index_dir / SCORE_MEMO_NAME),
         )
 
-    # -- lifecycle ------------------------------------------------------------
-    def start(self) -> None:
-        """Bind the HTTP front end and start draining the queue (idempotent)."""
-        if self._gateway is not None:
-            return
-        self.scheduler.start()
-        self._gateway = AsyncGateway(
-            self, WORKER_ROUTES, GatewayConfig.from_service_config(self.config))
-        self._gateway.start()
-
-    @property
-    def port(self) -> int:
-        """The actually bound TCP port (resolves ``port=0`` requests)."""
-        if self._gateway is not None:
-            return self._gateway.port
-        return self.config.port
-
-    @property
-    def url(self) -> str:
-        """Base URL of the running daemon."""
-        return f"http://{self.config.host}:{self.port}"
-
-    def request_stop(self) -> None:
-        """Ask :meth:`serve_forever` to return (signal-handler safe)."""
-        self._stop_requested.set()
-
-    def stop(self) -> None:
-        """Graceful shutdown: HTTP first, then workers, then state (idempotent).
-
-        The in-flight job finishes and is persisted; queued jobs stay
-        queued for the next daemon over the same data directory.
-        """
-        if self._stopped:
-            return
-        self._stopped = True
-        self._stop_requested.set()
-        if self._gateway is not None:
-            self._gateway.stop()
-            self._gateway = None
-        self.scheduler.close()
+    def _close(self) -> None:
+        """Close the resident session and the source journal."""
         self.session.close()
-        self.jobstore.close()
         self.source_journal.close()
 
-    def serve_forever(self) -> None:
-        """Run until :meth:`request_stop` (or Ctrl-C), then shut down."""
-        self.start()
-        try:
-            self._stop_requested.wait()
-        except KeyboardInterrupt:
-            pass
-        self.stop()
+    def _run(self, job: Job, should_stop) -> Outcome:
+        """Run one claimed job through the resident session.
 
-    def __enter__(self) -> "AnalysisService":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+        Envelopes are persisted as they complete, so the stream endpoint
+        serves them while the job runs.  A workload runs chunk by chunk
+        and returns ``None`` when ``should_stop`` pauses it.
+        """
+        if job.workload is not None:
+            outcome = run_workload_job(job, self.jobstore, session=self.session,
+                                       should_stop=should_stop)
+            return None if outcome == "paused" else (outcome, None)
+        if job.cancel_requested:
+            # cancelled between claim and execution: honour it here,
+            # before any envelope is computed
+            return "cancelled", None
+        corpus = [tuple(pair) for pair in job.corpus]
+        for seq, envelope in enumerate(self.session.run_iter(
+                corpus, analyses=list(job.analyses),
+                options=self._job_options(job))):
+            self.jobstore.append_result(job.job_id, seq, canonical_json(envelope))
+        return "done", None
 
     # -- operations (shared by the route table, the CLI, and tests) -----------
-    def submit(self, sources, analyses, options: Optional[dict] = None,
-               priority: Optional[str] = None,
-               tenant: Optional[str] = None) -> Job:
-        """Validate and enqueue a job, waking the scheduler.
-
-        Parameters
-        ----------
-        sources:
-            ``[[id, source], ...]`` wire pairs to analyze.
-        analyses:
-            Analyzer ids to run, in order.
-        options:
-            Per-analyzer option mapping.
-        priority:
-            Scheduling lane (``interactive`` or ``batch``; the default).
-        tenant:
-            Tenant label recorded with the job (``X-Repro-Tenant``).
-        """
-        sources, analyses, options = validate_job_request(
-            sources, analyses, options, self.session.registry)
-        priority = validate_priority(priority)
-        job = self.jobstore.submit(sources, analyses, options,
-                                   priority=priority, tenant=tenant)
-        self.scheduler.notify()
-        return job
-
-    def submit_workload(self, body, tenant: Optional[str] = None) -> Job:
-        """Validate and enqueue one workload job, waking the scheduler.
-
-        ``body`` is the ``POST /v1/workloads`` wire object (``kind`` +
-        ``params`` + optional ``priority``/``chunks``); the validated
-        descriptor is persisted with the job so a restarted daemon can
-        resume it from its completed chunks.
-        """
-        try:
-            descriptor = validate_workload_request(body)
-        except WorkloadError as error:
-            raise ServiceValidationError(str(error)) from error
-        priority = validate_priority(body.get("priority"))
-        job = self.jobstore.submit(
-            [], [], priority=priority, tenant=tenant, workload=descriptor)
-        self.scheduler.notify()
-        return job
-
-    def cancel_job(self, job_id: int) -> Optional[str]:
-        """Cancel one job; returns its (possibly unchanged) state.
-
-        Queued jobs are dropped immediately; running workloads stop at
-        the next chunk boundary (their completed chunks stay persisted
-        for a later resume); terminal jobs are left untouched.  Returns
-        ``None`` for unknown ids.
-        """
-        return self.jobstore.cancel(job_id)
-
-    def resume_workload(self, job_id: int) -> Job:
-        """Requeue a failed/cancelled workload job, reusing done chunks."""
-        job = self.jobstore.get(job_id)
-        if job is None:
-            raise KeyError(job_id)
-        if job.workload is None:
-            raise ServiceValidationError(
-                f"job {job_id} is not a workload job")
-        try:
-            job = self.jobstore.requeue(job_id)
-        except ValueError as error:
-            raise ServiceValidationError(str(error)) from error
-        self.scheduler.notify()
-        return job
-
-    def register_query_spec(self, spec) -> dict:
-        """Validate, register, and persist one custom DSL query.
-
-        The spec is pure data (see :mod:`repro.ccc.custom`) — nothing in
-        it is executed.  Registered specs are persisted to
-        ``queries.json`` in the data dir and reloaded on daemon startup,
-        so a custom query survives restarts like the rest of the state.
-        """
-        return register_custom_query(spec, self.queries_path)
-
-    def queries_payload(self) -> dict:
-        """The ``GET /v1/queries`` body: every active ccc query."""
-        return custom_queries_payload()
-
     def ingest(self, documents, remove=()) -> dict:
         """Add documents to the live CCD index and persist them incrementally.
 
@@ -467,19 +592,8 @@ class AnalysisService:
         index never held are ignored.  Removals are applied before the
         ingests of the same call.
         """
-        remove = validate_document_ids(remove, what="remove")
-        if documents is None and remove:
-            documents = []
-        else:
-            try:
-                documents = resolve_ingest_documents(
-                    documents, self.source_journal.get)
-            except DeltaError as error:
-                raise ServiceValidationError(str(error)) from error
-        # duplicate ids within one batch collapse to the last occurrence,
-        # so the persisted shards never carry two rows for one document
-        documents = list({document_id: (document_id, source)
-                          for document_id, source in documents}.values())
+        documents, remove = self._ingest_request(
+            documents, remove, self.source_journal)
         with self._work_lock.write():  # exclusive: no matching during mutation
             detector = self.detector
             ingested, rejected, retired, removed, unchanged = [], [], [], [], []
@@ -553,17 +667,11 @@ class AnalysisService:
             "queue_depth": self.jobstore.queue_depth(),
         }
 
-    def stats(self) -> dict:
-        """The ``/v1/stats`` payload: cache, index, match, and queue counters."""
+    def _role_stats(self) -> dict:
+        """The worker's ``/v1/stats`` fields: cache, index, and match counters."""
         store_stats = self.session.stats.as_dict()
         store_stats["hit_rate"] = self.session.stats.hit_rate
-        payload = {
-            "uptime_seconds": time.time() - self.started_at,
-            "jobs": self.jobstore.counts(),
-            "jobs_completed": self.scheduler.jobs_completed,
-            "jobs_failed": self.scheduler.jobs_failed,
-            "jobs_by_lane": dict(self.scheduler.jobs_by_lane),
-            "recovered_jobs": self.recovered_jobs,
+        return {
             "store": store_stats,
             "index": {
                 "documents": len(self.detector),
@@ -592,9 +700,6 @@ class AnalysisService:
                 "similarity_threshold": self.config.similarity_threshold,
             },
         }
-        if self._gateway is not None:
-            payload["gateway"] = self._gateway.gateway_stats()
-        return payload
 
     def _job_options(self, job: Job) -> dict:
         """Thread the resident index into ``ccd`` jobs (unless opted out).
@@ -676,6 +781,8 @@ def custom_queries_payload() -> dict:
 __all__ = [
     "AnalysisService",
     "CACHE_DIRECTORY_NAME",
+    "Daemon",
+    "DaemonConfig",
     "INDEX_DIRECTORY_NAME",
     "QUERIES_FILE_NAME",
     "ROUTES",

@@ -9,7 +9,7 @@ subprocess on an ephemeral port, scraped from the machine-readable
 ``PORT=<n>`` line the CLI prints on startup.
 
 Used by ``tests/test_service_cluster.py`` and (via a ``sys.path``
-insert) by the CI smoke driver ``tools/cluster_smoke.py``.
+insert) by the four smoke scripts ``tools/*_smoke.py``.
 """
 
 from __future__ import annotations
@@ -51,12 +51,21 @@ class DaemonProcess:
         self.argv = argv
         self.port: Optional[int] = None
         self.stdout_lines: List[str] = []
-        self._reader = threading.Thread(target=self._drain_stdout, daemon=True)
+        self.stderr_lines: List[str] = []
         self._port_seen = threading.Event()
-        self._reader.start()
+        # drain both pipes for the process lifetime so neither ever fills
+        self._stdout_reader = threading.Thread(target=self._drain_stdout,
+                                               daemon=True)
+        self._stderr_reader = threading.Thread(target=self._drain_stderr,
+                                               daemon=True)
+        self._stdout_reader.start()
+        self._stderr_reader.start()
+
+    def _drain_stderr(self) -> None:
+        for line in self.process.stderr:
+            self.stderr_lines.append(line.rstrip("\n"))
 
     def _drain_stdout(self) -> None:
-        # keep draining for the process lifetime so the pipe never fills
         for line in self.process.stdout:
             line = line.rstrip("\n")
             self.stdout_lines.append(line)
@@ -72,12 +81,12 @@ class DaemonProcess:
         """Block until the daemon printed ``PORT=<n>``; returns the port."""
         self._port_seen.wait(timeout)
         if self.port is None:
-            stderr = ""
-            if self.process.poll() is not None and self.process.stderr:
-                stderr = self.process.stderr.read()
+            if not self.alive():
+                self._stderr_reader.join(timeout=5)
             raise RuntimeError(
                 f"daemon never printed PORT= (argv: {self.argv!r}, "
-                f"stdout: {self.stdout_lines!r}, stderr: {stderr!r})")
+                f"stdout: {self.stdout_lines!r}, "
+                f"stderr: {self.stderr_lines!r})")
         return self.port
 
     @property
@@ -114,6 +123,8 @@ class DaemonProcess:
             self.kill()
         except Exception:  # noqa: BLE001 — teardown best-effort
             pass
+        for reader in (self._stdout_reader, self._stderr_reader):
+            reader.join(timeout=5)  # EOF follows the exit
         for stream in (self.process.stdout, self.process.stderr):
             if stream is not None:
                 stream.close()

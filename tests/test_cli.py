@@ -9,7 +9,12 @@ import pytest
 from repro.api.envelope import canonical_json
 from repro.cli import build_parser, main
 from repro.pipeline.checkpoint import StudyCheckpoint
-from test_workloads import SWEEP_PARAMS, local_workload_bytes
+from test_workloads import (
+    PAYOUT_SOURCE,
+    SWEEP_PARAMS,
+    in_process_cluster,
+    local_workload_bytes,
+)
 
 SMALL_CORPUS = ["--posts-stackoverflow", "4", "--posts-ethereum", "8",
                 "--independent-contracts", "4"]
@@ -547,10 +552,59 @@ class TestClusterCli:
             port_lines = [line for line in daemon.stdout_lines
                           if line.startswith("PORT=")]
             assert port_lines == [f"PORT={daemon.port}"]
-            # the human-readable banner stays FIRST: tools/service_smoke.py
-            # scrapes the URL from line one
+            # the human-readable banner stays FIRST: operators and scripts
+            # read the URL off line one
             assert daemon.stdout_lines[0].startswith("serving on ")
             assert f":{daemon.port}" in daemon.stdout_lines[0]
             assert daemon.client().healthz()["status"] == "ok"
         finally:
             daemon.close()
+
+    def test_cluster_status_prints_every_shard(self, tmp_path, capsys):
+        from repro.service import ServiceClient
+
+        documents = [[f"doc-{index}", PAYOUT_SOURCE.replace(
+            "Payout", f"Payout{index}")] for index in range(6)]
+        with in_process_cluster(tmp_path, 2) as (coordinator, workers):
+            ServiceClient(coordinator.url).ingest(documents)
+            routed = coordinator.journal.per_shard_counts()
+            indexed = {f"shard-{index}": len(worker.detector)
+                       for index, worker in enumerate(workers)}
+            code, out, err = run_cli(capsys, "cluster", "status",
+                                     "--url", coordinator.url)
+        assert code == 0, err
+        rows = {line.split()[0]: line.split() for line in out.splitlines()
+                if line.startswith("shard-")}
+        assert sorted(rows) == ["shard-0", "shard-1"]
+        assert sum(routed.values()) == 6
+        for name, (_, _url, status, indexed_count, routed_count, _queue) \
+                in rows.items():
+            assert status == "ok"
+            assert int(routed_count) == routed.get(name, 0)
+            assert int(indexed_count) == indexed[name]
+
+    def test_queries_register_broadcasts_to_every_shard(self, tmp_path,
+                                                        capsys):
+        from repro.ccc.registry import unregister_query
+        from repro.service import ServiceClient
+
+        spec = {"query_id": "custom-cli-transfer",
+                "category": "Access Control",
+                "title": "Ether transfer reachable without access control",
+                "select": "ether_transfers",
+                "exclude": ["access_controlled"]}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        try:
+            with in_process_cluster(tmp_path, 2) as (coordinator, workers):
+                code, out, err = run_cli(capsys, "queries", "register",
+                                         "--spec", str(spec_path),
+                                         "--url", coordinator.url)
+                assert code == 0, err
+                assert "on shards shard-0, shard-1" in out
+                for worker in workers:
+                    listed = {entry["query_id"]
+                              for entry in ServiceClient(worker.url).queries()}
+                    assert spec["query_id"] in listed
+        finally:
+            unregister_query(spec["query_id"])

@@ -138,39 +138,3 @@ class TestManualValidation:
         if table.sample_size:
             # the majority of flagged pairings should be genuine (Table 8: 48/100)
             assert table.confirmed_pairings >= table.sample_size * 0.3
-
-
-class TestExecutorBackendParity:
-    """The suites are byte-identical under every executor backend.
-
-    The workload engine runs evaluation chunks through the resident
-    session's backend, so canonical_json parity between the serial
-    loop and the thread/process executors is load-bearing: it is what
-    makes a daemon-served report equal a fresh local run.
-    """
-
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_ccc_suite_backend_parity(self, small_smartbugs_corpus, backend):
-        from repro.api import canonical_json
-        from repro.evaluation.smartbugs_eval import evaluation_report
-
-        reference = canonical_json(evaluation_report(
-            evaluate_ccc_on_corpus(small_smartbugs_corpus, "original")))
-        fanned = canonical_json(evaluation_report(evaluate_ccc_on_corpus(
-            small_smartbugs_corpus, "original", backend=backend,
-            max_workers=2)))
-        assert fanned == reference
-
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_baseline_suite_backend_parity(self, small_smartbugs_corpus,
-                                           backend):
-        from repro.api import canonical_json
-        from repro.evaluation.smartbugs_eval import evaluation_report
-
-        reference = canonical_json(evaluation_report(
-            evaluate_baseline_on_corpus(small_smartbugs_corpus, "original")))
-        fanned = canonical_json(evaluation_report(
-            evaluate_baseline_on_corpus(
-                small_smartbugs_corpus, "original", backend=backend,
-                max_workers=2)))
-        assert fanned == reference

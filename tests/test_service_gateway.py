@@ -33,6 +33,7 @@ from repro.service import (
     AnalysisService,
     ClusterCoordinator,
     CoordinatorConfig,
+    JobFailedError,
     JobStore,
     ServiceClient,
     ServiceConfig,
@@ -812,6 +813,29 @@ class TestCoordinatorGateway:
             for sub in worker.jobstore.list_jobs():
                 assert sub.priority == "interactive"
                 assert sub.tenant == "team-a"
+
+    def test_stats_count_a_completed_interactive_fanout(self, cluster,
+                                                        corpora):
+        _, snippets = corpora
+        coordinator, _ = cluster
+        client = ServiceClient(coordinator.url, connect_timeout=5.0)
+        job = client.submit(snippets[:1], analyses=["ccc"],
+                            priority="interactive")
+        client.wait(job["id"])
+        stats = client.stats()
+        assert stats["jobs_completed"] == 1
+        assert stats["jobs_failed"] == 0
+        assert stats["jobs_by_lane"] == {"interactive": 1, "batch": 0}
+
+    def test_stats_count_a_fanout_with_no_reachable_shard(
+            self, lone_coordinator):
+        client = ServiceClient(lone_coordinator.url)
+        job = client.submit([["a", "contract A {}"]], analyses=["ccc"])
+        with pytest.raises(JobFailedError, match="all shards unreachable"):
+            client.wait(job["id"])
+        stats = client.stats()
+        assert stats["jobs_failed"] == 1
+        assert stats["jobs_completed"] == 0
 
     def test_stream_endpoint_absent_on_coordinator(self, cluster):
         coordinator, _ = cluster

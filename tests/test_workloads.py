@@ -10,7 +10,8 @@ The headline claims of ``repro.service.workloads``:
   chunk ``finished`` timestamps;
 * cancellation lands at a chunk boundary and keeps partial results;
 * a coordinator fans grid cells across shards and merges to the same
-  bytes as a single daemon.
+  bytes as a single daemon, and a graceful coordinator stop mid-fan-out
+  leaves the job for the next start instead of failing it.
 
 The tests drive the engine at three levels: the pure
 ``run_workload_job`` loop over a bare :class:`JobStore`, the worker
@@ -23,6 +24,7 @@ import json
 import sqlite3
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -35,7 +37,7 @@ from repro.service import (
     ServiceConfig,
     ServiceError,
 )
-from repro.service.jobstore import JobStore
+from repro.service.jobstore import JOBS_DATABASE_NAME, JobStore
 from repro.service.workloads import (
     WORKLOADS,
     Workload,
@@ -46,6 +48,13 @@ from repro.service.workloads import (
     validate_workload_request,
     workload_payload,
 )
+
+#: a one-function contract with one ccc finding (unguarded transfer)
+PAYOUT_SOURCE = """
+contract Payout {
+    function pay(address to) public { to.transfer(1 ether); }
+}
+"""
 
 #: a parameter sweep small enough for tests: 2 N x 1 eta x 2 eps = 4 cells
 SWEEP_PARAMS = {
@@ -94,6 +103,31 @@ def in_process_cluster(tmp_path, shard_count):
             coordinator.stop()
         for worker in workers:
             worker.stop()
+
+
+def wait_for_fanout(coordinator, job_id, timeout=30.0):
+    """Block until the coordinator recorded which shards got the job."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        job = coordinator.jobstore.get(job_id)
+        if job.fanout and job.fanout.get("shards"):
+            return job.fanout
+        time.sleep(0.02)
+    raise AssertionError(f"job {job_id} was never fanned out")
+
+
+def stop_mid_fanout(coordinator, worker, submit):
+    """Stop ``coordinator`` while ``worker`` holds its sub-job; returns the row.
+
+    The worker's write lock keeps the sub-job from running, so the
+    stop lands while the fan-out waits on the shard.
+    """
+    with worker._work_lock.write():
+        job = submit()
+        wait_for_fanout(coordinator, job.job_id)
+        coordinator.stop()
+    with JobStore(Path(coordinator.config.data_dir) / JOBS_DATABASE_NAME) as store:
+        return store.get(job.job_id)
 
 
 class CountingWorkload(Workload):
@@ -509,6 +543,45 @@ class TestCoordinatorWorkloads:
             assert outcome["state"] in ("cancelled", "cancelling", "done")
             final = client.wait_workload(submitted["id"], timeout=180.0)
             assert final["job"]["state"] in ("cancelled", "done")
+
+    def test_graceful_stop_mid_fanout_reruns_the_job_on_restart(self, tmp_path):
+        sources = [["payout", PAYOUT_SOURCE]]
+        with in_process_cluster(tmp_path, 1) as (coordinator, workers):
+            worker_client = ServiceClient(workers[0].url)
+            row = stop_mid_fanout(coordinator, workers[0],
+                                  lambda: coordinator.submit(sources, ["ccc"]))
+            assert row.state == "running"
+            assert row.fanout["degraded"] == []
+            assert len(worker_client.jobs()) == 1
+            with ClusterCoordinator(coordinator.config) as restarted:
+                assert restarted.recovered_jobs == 1
+                final = ServiceClient(restarted.url).wait(row.job_id,
+                                                          timeout=180.0)
+            assert final["job"]["state"] == "done"
+            single = worker_client.submit(sources, ["ccc"])
+            expected = worker_client.wait(single["id"], timeout=180.0)
+            assert [canonical_json(envelope) for envelope in final["results"]] \
+                == [canonical_json(envelope) for envelope in expected["results"]]
+
+    def test_graceful_stop_mid_workload_fanout_resumes_on_restart(
+            self, tmp_path):
+        with in_process_cluster(tmp_path, 1) as (coordinator, workers):
+            worker_client = ServiceClient(workers[0].url)
+            row = stop_mid_fanout(
+                coordinator, workers[0],
+                lambda: coordinator.submit_workload(
+                    {"kind": "parameter_sweep", "params": SWEEP_PARAMS}))
+            assert row.state == "running"
+            assert row.fanout["degraded"] == []
+            before_restart = [entry["id"] for entry in worker_client.workloads()]
+            assert len(before_restart) == 1
+            with ClusterCoordinator(coordinator.config) as restarted:
+                assert restarted.recovered_jobs == 1
+                final = ServiceClient(restarted.url).wait_workload(
+                    row.job_id, timeout=180.0)
+            assert final["job"]["state"] == "done"
+            assert canonical_json(final["results"][0]) == \
+                local_workload_bytes("parameter_sweep", SWEEP_PARAMS)
 
 
 # ---------------------------------------------------------------------------

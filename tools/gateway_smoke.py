@@ -26,41 +26,9 @@ Usage::
 from __future__ import annotations
 
 import json
-import os
-import signal
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
-
-
-def start_daemon(root: Path, data_dir: str, *extra_args: str) -> tuple:
-    """Start ``repro serve`` on a free port; returns (process, url)."""
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--data-dir", data_dir,
-         "--port", "0", "--backend", "serial", *extra_args],
-        cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
-    line = process.stdout.readline().strip()
-    if "http://" not in line:
-        process.kill()
-        raise SystemExit(f"daemon did not announce a URL, said: {line!r}")
-    url = next(part for part in line.split() if part.startswith("http://"))
-    print(f"daemon up: {line}")
-    return process, url
-
-
-def stop_daemon(process: subprocess.Popen) -> None:
-    """SIGTERM the daemon and assert a clean, prompt exit."""
-    process.send_signal(signal.SIGTERM)
-    try:
-        code = process.wait(timeout=30)
-    except subprocess.TimeoutExpired:
-        process.kill()
-        raise SystemExit("daemon did not shut down within 30s of SIGTERM")
-    if code != 0:
-        raise SystemExit(f"daemon exited with code {code} on SIGTERM")
-    print("daemon shut down cleanly")
 
 
 def main(argv: list[str]) -> int:
@@ -71,11 +39,14 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, str(root / "tests"))
     import loadgen
     import wire_transcript
+    from cluster_harness import spawn_daemon
     from repro.service import ServiceClient
 
     with tempfile.TemporaryDirectory() as tmp:
         # -- step 1+2: golden transcript replay ---------------------------
-        daemon, url = start_daemon(root, str(Path(tmp) / "replay"))
+        daemon = spawn_daemon(Path(tmp) / "replay")
+        print(f"daemon up: {daemon.stdout_lines[0]}")
+        url = daemon.url
         try:
             ServiceClient(url).wait_ready()
             actual: list = []
@@ -93,13 +64,17 @@ def main(argv: list[str]) -> int:
             assert stats["requests"] > 0, stats
             print(f"gateway stats: {stats['requests']} requests over "
                   f"{stats['connections_opened']} connection(s)")
+            assert daemon.terminate(timeout=30) == 0, "unclean SIGTERM exit"
+            print("daemon shut down cleanly")
         finally:
-            stop_daemon(daemon)
+            daemon.close()
 
         # -- step 3: shed under a deliberate burst ------------------------
-        gateway, gateway_url = start_daemon(
-            root, str(Path(tmp) / "burst"),
-            "--max-pending-jobs", "8", "--workers", "1")
+        gateway = spawn_daemon(
+            Path(tmp) / "burst",
+            extra=("--max-pending-jobs", "8", "--workers", "1"))
+        print(f"daemon up: {gateway.stdout_lines[0]}")
+        gateway_url = gateway.url
         try:
             result = loadgen.run_load(
                 gateway_url, clients=64, requests_per_client=2,
@@ -119,8 +94,10 @@ def main(argv: list[str]) -> int:
             shed_stats = ServiceClient(gateway_url).stats()["gateway"]["shed"]
             assert shed_stats["queue_full"] > 0, shed_stats
             print(f"shed counters: {json.dumps(shed_stats)}")
+            assert gateway.terminate(timeout=30) == 0, "unclean SIGTERM exit"
+            print("daemon shut down cleanly")
         finally:
-            stop_daemon(gateway)
+            gateway.close()
 
     print("gateway smoke: OK")
     return 0

@@ -21,47 +21,17 @@ Usage::
 
 from __future__ import annotations
 
-import os
-import signal
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
-
-
-def start_daemon(root: Path, data_dir: str) -> tuple:
-    """Start ``repro serve`` on a free port; returns (process, url)."""
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--data-dir", data_dir,
-         "--port", "0", "--backend", "thread"],
-        cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
-    line = process.stdout.readline().strip()
-    if "http://" not in line:
-        process.kill()
-        raise SystemExit(f"daemon did not announce a URL, said: {line!r}")
-    url = next(part for part in line.split() if part.startswith("http://"))
-    print(f"daemon up: {line}")
-    return process, url
-
-
-def stop_daemon(process: subprocess.Popen) -> None:
-    """SIGTERM the daemon and assert a clean, prompt exit."""
-    process.send_signal(signal.SIGTERM)
-    try:
-        code = process.wait(timeout=30)
-    except subprocess.TimeoutExpired:
-        process.kill()
-        raise SystemExit("daemon did not shut down within 30s of SIGTERM")
-    if code != 0:
-        raise SystemExit(f"daemon exited with code {code} on SIGTERM")
-    print("daemon shut down cleanly")
 
 
 def main(argv: list[str]) -> int:
     """Run the smoke sequence; returns a process exit code."""
     root = Path(argv[1]).resolve() if len(argv) > 1 else Path.cwd()
     sys.path.insert(0, str(root / "src"))
+    sys.path.insert(0, str(root / "tests"))
+    from cluster_harness import spawn_daemon
     from repro.datasets.sanctuary import generate_sanctuary
     from repro.datasets.snippets import generate_qa_corpus
     from repro.service import ServiceClient
@@ -75,9 +45,10 @@ def main(argv: list[str]) -> int:
                 for post in qa_corpus.posts for snippet in post.snippets][:8]
 
     with tempfile.TemporaryDirectory() as data_dir:
-        process, url = start_daemon(root, data_dir)
+        daemon = spawn_daemon(data_dir, backend="thread")
+        print(f"daemon up: {daemon.stdout_lines[0]}")
         try:
-            client = ServiceClient(url)
+            client = ServiceClient(daemon.url)
             assert client.healthz()["status"] == "ok"
 
             summary = client.ingest(contracts)
@@ -109,18 +80,23 @@ def main(argv: list[str]) -> int:
             print(f"stats: {stats['jobs']['done']} done, index "
                   f"{stats['index']['documents']} documents, store hit rate "
                   f"{stats['store']['hit_rate']:.1%}")
+            assert daemon.terminate(timeout=30) == 0, "unclean SIGTERM exit"
+            print("daemon shut down cleanly")
         finally:
-            stop_daemon(process)
+            daemon.close()
 
         # durability: a second daemon over the same data dir has the index
-        process, url = start_daemon(root, data_dir)
+        daemon = spawn_daemon(data_dir, backend="thread")
+        print(f"daemon up: {daemon.stdout_lines[0]}")
         try:
-            stats = ServiceClient(url).stats()
+            stats = ServiceClient(daemon.url).stats()
             assert stats["index"]["documents"] == len(contracts), stats["index"]
             print(f"restart: index reloaded with "
                   f"{stats['index']['documents']} documents")
+            assert daemon.terminate(timeout=30) == 0, "unclean SIGTERM exit"
+            print("daemon shut down cleanly")
         finally:
-            stop_daemon(process)
+            daemon.close()
 
     print("service smoke: OK")
     return 0

@@ -31,8 +31,6 @@ from __future__ import annotations
 
 import json
 import os
-import signal
-import subprocess
 import sys
 import tempfile
 import time
@@ -63,34 +61,6 @@ contract Payout {
 """
 
 
-def start_daemon(root: Path, data_dir: str) -> tuple:
-    """Start ``repro serve`` on a free port; returns (process, url)."""
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--data-dir", data_dir,
-         "--port", "0", "--backend", "serial"],
-        cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
-    line = process.stdout.readline().strip()
-    if "http://" not in line:
-        process.kill()
-        raise SystemExit(f"daemon did not announce a URL, said: {line!r}")
-    url = next(part for part in line.split() if part.startswith("http://"))
-    print(f"daemon up: {line}")
-    return process, url
-
-
-def stop_daemon(process: subprocess.Popen) -> None:
-    """SIGTERM the daemon and assert a clean, prompt exit."""
-    process.send_signal(signal.SIGTERM)
-    try:
-        code = process.wait(timeout=30)
-    except subprocess.TimeoutExpired:
-        process.kill()
-        raise SystemExit("daemon did not shut down within 30s of SIGTERM")
-    if code != 0:
-        raise SystemExit(f"daemon exited with code {code} on SIGTERM")
-
-
 def local_sweep_bytes() -> str:
     """The reference report: the same sweep run inline, no daemon."""
     from repro.api.envelope import canonical_json
@@ -108,6 +78,8 @@ def main(argv: list[str]) -> int:
     """Run the smoke sequence; returns a process exit code."""
     root = Path(argv[1]).resolve() if len(argv) > 1 else Path.cwd()
     sys.path.insert(0, str(root / "src"))
+    sys.path.insert(0, str(root / "tests"))
+    from cluster_harness import spawn_daemon
     from repro.api import AnalysisSession, SessionConfig, canonical_json
     from repro.ccc.custom import compile_query
     from repro.ccc.registry import register_query, unregister_query
@@ -116,39 +88,41 @@ def main(argv: list[str]) -> int:
     trace: dict = {"steps": []}
 
     with tempfile.TemporaryDirectory() as data_dir:
-        process, url = start_daemon(root, data_dir)
-        client = ServiceClient(url)
-        submitted = client.submit_workload("parameter_sweep",
-                                           params=SWEEP_PARAMS)
-        job_id = submitted["id"]
-        total = None
-        print(f"submitted parameter_sweep as job {job_id}")
+        process = spawn_daemon(data_dir)
+        print(f"daemon up: {process.stdout_lines[0]}")
+        try:
+            client = ServiceClient(process.url)
+            submitted = client.submit_workload("parameter_sweep",
+                                               params=SWEEP_PARAMS)
+            job_id = submitted["id"]
+            total = None
+            print(f"submitted parameter_sweep as job {job_id}")
 
-        # wait for mid-run: >= 2 chunks done, not all — then SIGKILL
-        deadline = time.monotonic() + 120.0
-        while True:
-            if time.monotonic() > deadline:
-                process.kill()
-                raise SystemExit("sweep never reached mid-run within 120s")
-            progress = client.workload(job_id)["progress"]
-            total = progress["total"]
-            if 2 <= progress["done"] < total:
-                break
-            # total is 0 until the scheduler has decomposed the sweep
-            if total and progress["done"] >= total:
-                process.kill()
-                raise SystemExit(
-                    "sweep finished before the kill; enlarge SWEEP_PARAMS")
-            time.sleep(0.02)
-        process.send_signal(signal.SIGKILL)
-        process.wait(timeout=30)
+            # wait for mid-run: >= 2 chunks done, not all — then SIGKILL
+            deadline = time.monotonic() + 120.0
+            while True:
+                if time.monotonic() > deadline:
+                    raise SystemExit("sweep never reached mid-run within 120s")
+                progress = client.workload(job_id)["progress"]
+                total = progress["total"]
+                if 2 <= progress["done"] < total:
+                    break
+                # total is 0 until the scheduler has decomposed the sweep
+                if total and progress["done"] >= total:
+                    raise SystemExit(
+                        "sweep finished before the kill; enlarge SWEEP_PARAMS")
+                time.sleep(0.02)
+            process.kill()
+        finally:
+            process.close()
         print(f"SIGKILLed the daemon at {progress['done']}/{total} chunks")
         trace["steps"].append({"killed_at": progress})
 
         # restart over the same data dir: recovery resumes the sweep
-        process, url = start_daemon(root, data_dir)
+        process = spawn_daemon(data_dir)
+        print(f"daemon up: {process.stdout_lines[0]}")
         try:
-            client = ServiceClient(url)
+            client = ServiceClient(process.url)
             status = client.workload(job_id, chunks=True)
             survivors = {row["chunk"]: row["finished"]
                          for row in status["chunks"]
@@ -210,8 +184,9 @@ def main(argv: list[str]) -> int:
                 raise SystemExit(f"cancel left {final_extra['job']}")
             trace["steps"].append(
                 {"cancel": final_extra["job"]["state"]})
+            assert process.terminate(timeout=30) == 0, "unclean SIGTERM exit"
         finally:
-            stop_daemon(process)
+            process.close()
 
     artifact = Path(os.environ.get("WORKLOAD_SMOKE_ARTIFACT",
                                    "workload_smoke.json"))
