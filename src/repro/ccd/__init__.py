@@ -20,7 +20,7 @@ of smart contracts (Section 5 of the paper).  The pipeline is
    ``"exact"`` is the naive reference — both report identical results).
    Pair scores are memoized corpus-wide in a
    :class:`~repro.ccd.score_memo.ScoreMemoTable`, optionally persisted
-   next to a saved index so reloaded corpora start warm.
+   with a saved index so reloaded corpora start warm.
 """
 
 from repro.ccd.detector import CloneDetector
@@ -37,7 +37,7 @@ from repro.ccd.matcher import (
 )
 from repro.ccd.ngram_index import NGramIndex
 from repro.ccd.normalizer import NormalizedContract, NormalizedFunction, NormalizedUnit, Normalizer
-from repro.ccd.score_memo import SCORE_MEMO_NAME, ScoreMemoTable
+from repro.ccd.score_memo import ScoreMemoTable
 from repro.ccd.similarity import (
     edit_distance,
     myers_bounded_edit_distance,
@@ -59,7 +59,6 @@ __all__ = [
     "NormalizedFunction",
     "NormalizedUnit",
     "Normalizer",
-    "SCORE_MEMO_NAME",
     "SIMILARITY_BACKENDS",
     "ScoreMemoTable",
     "SimilarityBackend",

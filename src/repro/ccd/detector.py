@@ -155,22 +155,23 @@ class CloneDetector:
         if self.source_keys.get(document_id) == source_key \
                 and document_id in self.fingerprints:
             return True
-        fingerprint, grams = self._try_fingerprint_with_grams(source)
-        if fingerprint is None:
-            self.parse_failures.append(document_id)
-            return False
+        fingerprint, grams = self.try_fingerprint(source)
         return self.add_fingerprint(
             document_id, fingerprint, grams=grams, source_key=source_key)
 
     def add_fingerprint(
         self,
         document_id: Hashable,
-        fingerprint: Fingerprint,
+        fingerprint: Optional[Fingerprint],
         grams: Optional[frozenset] = None,
         source_key: Optional[str] = None,
     ) -> bool:
-        """Index one precomputed fingerprint (and optional cached N-gram set)."""
-        if fingerprint.is_empty:
+        """Index one precomputed fingerprint (and optional cached N-gram set).
+
+        ``None`` (an unparsable source) or an empty fingerprint is recorded
+        as a parse failure; returns whether the document was indexed.
+        """
+        if fingerprint is None or fingerprint.is_empty:
             self.parse_failures.append(document_id)
             return False
         previous = self.fingerprints.get(document_id)
@@ -242,19 +243,17 @@ class CloneDetector:
         """
         documents = list(documents)
         if executor is None:
-            results = [self._try_fingerprint_with_grams(source) for _, source in documents]
+            results = [self.try_fingerprint(source) for _, source in documents]
         elif executor.supports_shared_state:
             results = executor.map_batches(
-                self._try_fingerprint_with_grams, [source for _, source in documents])
+                self.try_fingerprint, [source for _, source in documents])
         else:
             task = partial(_fingerprint_task, self._store_spec())
             results = [(fingerprint, None) for fingerprint in executor.map_batches(
                 task, [source for _, source in documents])]
         added = 0
         for (document_id, source), (fingerprint, grams) in zip(documents, results):
-            if fingerprint is None:
-                self.parse_failures.append(document_id)
-            elif self.add_fingerprint(
+            if self.add_fingerprint(
                     document_id, fingerprint, grams=grams,
                     source_key=core_artifacts.content_key(source)):
                 added += 1
@@ -292,28 +291,28 @@ class CloneDetector:
         return self.matcher.match(fingerprint, eta, epsilon)
 
     # -- persistence ------------------------------------------------------------
-    def save_index(self, directory, shards: int = 1) -> dict:
+    def save_index(self, directory) -> dict:
         """Persist the indexed corpus so it can be reloaded without re-parsing.
 
-        Shards the per-document fingerprints and N-gram sets by hash
-        prefix into ``directory`` (see :mod:`repro.ccd.index_io`); returns
-        the written manifest.
+        Writes the per-document fingerprints into the index database in
+        ``directory`` (see :mod:`repro.ccd.index_io`); returns the
+        written manifest.
         """
         from repro.ccd.index_io import save_index
 
-        return save_index(self, directory, shards=shards)
+        return save_index(self, directory)
 
     @classmethod
-    def load(cls, directory, store=None, strict: bool = True) -> "CloneDetector":
+    def load(cls, directory, store=None) -> "CloneDetector":
         """Rebuild a detector from a saved index — zero parses.
 
         The detector configuration (N-gram size, thresholds, fuzzy-hash
-        parameters) comes from the index manifest; ``store`` optionally
+        parameters) comes from the saved index; ``store`` optionally
         attaches a shared artifact store with a matching configuration.
         """
         from repro.ccd.index_io import load_index
 
-        return load_index(directory, store=store, strict=strict)
+        return load_index(directory, store=store)
 
     def similarity(self, first_id: Hashable, second_id: Hashable) -> float:
         """Order-independent similarity between two indexed documents."""
@@ -340,10 +339,13 @@ class CloneDetector:
         return result
 
     # -- helpers ----------------------------------------------------------------
-    def _try_fingerprint_with_grams(
+    def try_fingerprint(
         self, source: str,
     ) -> tuple[Optional[Fingerprint], Optional[frozenset]]:
-        """Fingerprint for indexing, plus the cached N-gram set when available."""
+        """Fingerprint for indexing, plus the cached N-gram set when available.
+
+        ``(None, None)`` when the source does not parse.
+        """
         if self.store is not None:
             artifact = self.store.get(source)
             try:

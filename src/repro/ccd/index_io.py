@@ -1,83 +1,143 @@
-"""Serialization of an indexed CCD corpus: save, shard, and reload.
+"""Persistence of an indexed CCD corpus: one SQLite database per index.
 
 Indexing a large contract corpus is the expensive half of clone detection
 (every contract is parsed, normalized, and fuzzy-hashed).  This module
-persists the *result* of that work — the per-document fingerprints and
-N-gram sets — so a :class:`~repro.ccd.detector.CloneDetector` can be
-reloaded and answer queries **without re-parsing a single contract**.
+persists the *result* of that work — the per-document fingerprints — so
+a :class:`~repro.ccd.detector.CloneDetector` can be reloaded and answer
+queries **without re-parsing a single contract**.
 
-Layout of a saved index directory::
+A saved index is one file, ``corpus.sqlite``, in the index directory.  A
+worker daemon keeps the same file in its data dir
+(:mod:`repro.service.server`), with its source journal beside these
+tables::
 
-    index.json       manifest: format version, detector configuration,
-                     shard count, document/parse-failure counts
-    shard-0000.pkl   pickled list of (document_id, Fingerprint, grams,
-                     source content key); older three-field entries
-                     (no source key) still load
-    shard-0001.pkl   ...
-    scores.sqlite    corpus-global (sub₁, sub₂) score memo disk tier
+    fingerprints     one row per document: the JSON-encoded id, the
+                     source's content key and the fingerprint text (the
+                     N-gram set is ngrams(text, N), rebuilt on load)
+    parse_failures   ids whose source did not parse, in recording order
+    configuration    the detector configuration, one JSON value per name
+    scores           the corpus-global (sub₁, sub₂) score memo
                      (:mod:`repro.ccd.score_memo`) — saved warm, loaded
                      warm, so a reloaded index re-scores zero known pairs
 
-Documents are distributed over shards by the SHA-256 prefix of their
-document id, so a fixed corpus always produces the same shard layout
-(stable, diffable) and shards can be regenerated or distributed
-independently.  All files are written atomically
-(:func:`repro.core.fileio.atomic_write_bytes`), so a killed save
-never leaves a torn shard behind.
+``PRAGMA user_version`` stamps the format.  A save is one transaction,
+and so is each daemon ingest, so a killed writer leaves the previous
+state whole.  Document ids are stored as JSON, so they must be strings
+or numbers.
 """
 
 from __future__ import annotations
 
-import hashlib
+import json
+import sqlite3
 import warnings
 from pathlib import Path
-from typing import Hashable, Iterable, Union
+from typing import Hashable, Iterable, Optional, Union
 
 from repro.ccd.detector import CloneDetector
+from repro.ccd.fingerprint import Fingerprint
 from repro.ccd.matcher import SIMILARITY_BACKENDS, resolve_similarity_backend
-from repro.ccd.score_memo import SCORE_MEMO_NAME, ScoreMemoTable
-from repro.core.fileio import dump_json, dump_pickle, try_load_json, try_load_pickle
+from repro.ccd.score_memo import SCORES_SCHEMA, ScoreMemoTable
+from repro.core.sqlite import Database
 
-#: bump when the manifest or shard payload layout changes
-INDEX_FORMAT_VERSION = 1
+#: ``PRAGMA user_version`` of an index database; bump when its tables change
+INDEX_FORMAT_VERSION = 2
 
-MANIFEST_NAME = "index.json"
+#: file name of the index database inside an index directory or data dir
+CORPUS_DATABASE_NAME = "corpus.sqlite"
 
-PARSE_FAILURES_NAME = "parse-failures.pkl"
+#: the manifest of the retired pickle-shard layout, refused on sight
+_LEGACY_MANIFEST_NAME = "index.json"
+
+#: the index tables of a corpus database
+SCHEMA = """
+CREATE TABLE IF NOT EXISTS fingerprints (
+    id          TEXT PRIMARY KEY,
+    key         TEXT,
+    fingerprint TEXT NOT NULL
+);
+CREATE TABLE IF NOT EXISTS parse_failures (
+    id TEXT PRIMARY KEY
+);
+CREATE TABLE IF NOT EXISTS configuration (
+    name  TEXT PRIMARY KEY,
+    value TEXT NOT NULL
+);
+""" + SCORES_SCHEMA
 
 
 class IndexFormatError(ValueError):
     """A saved index is missing, truncated, or incompatible."""
 
 
-def shard_of(document_id: Hashable, shards: int) -> int:
-    """The shard a document belongs to, by SHA-256 prefix of its id.
+def refuse_legacy_layout(directory: Union[str, Path]) -> None:
+    """Raise :class:`IndexFormatError` if ``directory`` holds a pickled index.
 
-    The first 8 hex digits of the hash are reduced modulo ``shards``;
-    using a prefix of a cryptographic hash keeps shard sizes balanced for
-    any id scheme (addresses, snippet ids, integers).
+    The retired layout (``index.json`` beside pickled shards) is not
+    migrated: its corpus is indexed again from its sources.
     """
-    digest = hashlib.sha256(repr(document_id).encode("utf-8", "replace")).hexdigest()
-    return int(digest[:8], 16) % shards
+    if (Path(directory) / _LEGACY_MANIFEST_NAME).exists():
+        raise IndexFormatError(
+            f"{directory} holds a CCD index in the retired pickle-shard "
+            f"layout ({_LEGACY_MANIFEST_NAME}); rebuild it with 'repro index "
+            f"build', or start the daemon over an empty data dir and ingest "
+            f"the corpus again")
 
 
-def _shard_path(directory: Path, index: int) -> Path:
-    return directory / f"shard-{index:04d}.pkl"
+def write_configuration(database: Database, detector: CloneDetector) -> None:
+    """Stamp the format version and record ``detector``'s configuration.
+
+    Thresholds are recorded as defaults for :func:`load_index` but can
+    be overridden at query time as usual.
+    """
+    configuration = {
+        "ngram_size": detector.ngram_size,
+        "ngram_threshold": detector.ngram_threshold,
+        "similarity_threshold": detector.similarity_threshold,
+        "fingerprint_block_size": detector.generator.hasher.block_size,
+        "fingerprint_window": detector.generator.hasher.window,
+        "similarity_backend": detector.similarity_backend,
+    }
+    database.execute(f"PRAGMA user_version = {INDEX_FORMAT_VERSION}")
+    for name, value in configuration.items():
+        database.execute("REPLACE INTO configuration (name, value) VALUES (?, ?)",
+                         (name, json.dumps(value)))
 
 
-def save_index(
-    detector: CloneDetector,
-    directory: Union[str, Path],
-    shards: int = 1,
-) -> dict:
+def append_to_index(detector: CloneDetector, database: Database,
+                    document_ids: Iterable[Hashable]) -> None:
+    """Write the rows of ``document_ids`` as ``detector`` now holds them.
+
+    This is the live-ingest path of the worker daemon: each id's
+    fingerprint row is replaced, or deleted once the detector no longer
+    indexes the id, and its parse-failure row follows the detector's
+    record — a few keyed statements per document, whatever the corpus
+    size.  Run it inside the caller's transaction.
+    """
+    failures = set(detector.parse_failures)
+    for document_id in document_ids:
+        key = json.dumps(document_id)
+        fingerprint = detector.fingerprints.get(document_id)
+        if fingerprint is None:
+            database.execute("DELETE FROM fingerprints WHERE id = ?", (key,))
+        else:
+            database.execute(
+                "REPLACE INTO fingerprints (id, key, fingerprint) VALUES (?, ?, ?)",
+                (key, detector.source_keys.get(document_id), fingerprint.text))
+        if document_id in failures:
+            database.execute(
+                "INSERT OR IGNORE INTO parse_failures (id) VALUES (?)", (key,))
+        else:
+            database.execute("DELETE FROM parse_failures WHERE id = ?", (key,))
+
+
+def save_index(detector: CloneDetector, directory: Union[str, Path]) -> dict:
     """Persist a detector's indexed corpus to ``directory``; returns the manifest.
 
-    Only corpus state (fingerprints, N-gram sets, parse failures) is
-    saved; thresholds are recorded in the manifest as defaults for
-    :func:`load_index` but can be overridden at query time as usual.
+    The corpus state (fingerprints, parse failures, memoized pair
+    scores) replaces whatever index the directory held, in one
+    transaction.
     """
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
     if detector.similarity_backend not in SIMILARITY_BACKENDS:
         # surface the problem at save time, not at some later load
         warnings.warn(
@@ -85,160 +145,96 @@ def save_index(
             f"{detector.similarity_backend!r}; load_index will fail unless "
             f"that name is registered in repro.ccd.matcher.SIMILARITY_BACKENDS",
             stacklevel=2)
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    buckets: list[list[tuple]] = [[] for _ in range(shards)]
-    for document_id, fingerprint in detector.fingerprints.items():
-        buckets[shard_of(document_id, shards)].append(
-            (document_id, fingerprint, detector.index.grams_for(document_id),
-             detector.source_keys.get(document_id)))
-    for index, bucket in enumerate(buckets):
-        dump_pickle(_shard_path(directory, index), bucket)
-    # a re-save with fewer shards must not leave stale shards behind
-    for stale in directory.glob("shard-*.pkl"):
-        try:
-            if int(stale.stem.split("-", 1)[1]) >= shards:
-                stale.unlink()
-        except (ValueError, OSError):
-            continue
-    # pickled (not JSON) so document-id types and recording order survive
-    dump_pickle(directory / PARSE_FAILURES_NAME, list(detector.parse_failures))
-    # ship the warm pair scores with the index: the detector's memo gains
-    # (or keeps) a write-through disk tier inside the index directory
-    detector.score_memo.persist_to(directory / SCORE_MEMO_NAME)
-    manifest = {
-        "format_version": INDEX_FORMAT_VERSION,
-        "score_memo": SCORE_MEMO_NAME,
-        "shards": shards,
-        "documents": len(detector.fingerprints),
-        "parse_failures": len(detector.parse_failures),
-        "configuration": {
-            "ngram_size": detector.ngram_size,
-            "ngram_threshold": detector.ngram_threshold,
-            "similarity_threshold": detector.similarity_threshold,
-            "fingerprint_block_size": detector.generator.hasher.block_size,
-            "fingerprint_window": detector.generator.hasher.window,
-            "similarity_backend": detector.similarity_backend,
-        },
-    }
-    dump_json(directory / MANIFEST_NAME, manifest)
-    return manifest
-
-
-def append_to_index(
-    detector: CloneDetector,
-    directory: Union[str, Path],
-    document_ids: Iterable[Hashable],
-    shards: int = 1,
-    remove_ids: Iterable[Hashable] = (),
-) -> dict:
-    """Incrementally persist newly indexed documents into a saved index.
-
-    This is the live-ingest path of the analysis service: after
-    ``detector`` (loaded from ``directory``) has indexed new documents
-    in memory, only the shards those documents hash into — plus the
-    manifest and the parse-failure record — are rewritten, so ingest
-    cost scales with the batch, not the corpus.  ``remove_ids`` names
-    documents retired from the live index (e.g. a known id re-ingested
-    with now-unparsable source) whose persisted entries must go too.
-    ``shards`` is only used when ``directory`` holds no index yet (a
-    full :func:`save_index`).
-
-    Returns a summary: the updated manifest plus ``appended`` (documents
-    written) and ``shards_rewritten``.
-    """
-    directory = Path(directory)
-    document_ids = list(document_ids)
-    remove_ids = [document_id for document_id in remove_ids
-                  if document_id not in detector.fingerprints]
+    database = Database(Path(directory) / CORPUS_DATABASE_NAME, SCHEMA)
     try:
-        manifest = read_manifest(directory)
-    except IndexFormatError:
-        manifest = save_index(detector, directory, shards=shards)
-        return {"manifest": manifest,
-                "appended": sum(1 for document_id in document_ids
-                                if document_id in detector.fingerprints),
-                "shards_rewritten": manifest["shards"]}
-    shard_count = manifest["shards"]
-    buckets: dict[int, list[Hashable]] = {}
-    for document_id in document_ids:
-        if document_id not in detector.fingerprints:
-            continue  # a parse failure; recorded below, never sharded
-        buckets.setdefault(shard_of(document_id, shard_count), []).append(document_id)
-    doomed: dict[int, set] = {}
-    for document_id in remove_ids:
-        doomed.setdefault(shard_of(document_id, shard_count), set()).add(document_id)
-    for index in sorted(set(buckets) | set(doomed)):
-        path = _shard_path(directory, index)
-        bucket_ids = buckets.get(index, [])
-        stale = set(bucket_ids) | doomed.get(index, set())
-        bucket = [entry for entry in (try_load_pickle(path) or [])
-                  if entry[0] not in stale]
-        bucket.extend(
-            (document_id, detector.fingerprints[document_id],
-             detector.index.grams_for(document_id),
-             detector.source_keys.get(document_id))
-            for document_id in bucket_ids)
-        dump_pickle(path, bucket)
-    dump_pickle(directory / PARSE_FAILURES_NAME, list(detector.parse_failures))
-    # keep (or retrofit) the score-memo tier; a no-op when the detector's
-    # memo is already attached there write-through, as in the service
-    detector.score_memo.persist_to(directory / SCORE_MEMO_NAME)
-    manifest.setdefault("score_memo", SCORE_MEMO_NAME)
-    manifest["documents"] = len(detector.fingerprints)
-    manifest["parse_failures"] = len(detector.parse_failures)
-    dump_json(directory / MANIFEST_NAME, manifest)
-    return {"manifest": manifest,
-            "appended": sum(len(bucket_ids) for bucket_ids in buckets.values()),
-            "shards_rewritten": len(set(buckets) | set(doomed))}
+        scores = detector.score_memo.rows()
+        with database.transaction():
+            for table in ("fingerprints", "parse_failures", "scores"):
+                database.execute(f"DELETE FROM {table}")
+            write_configuration(database, detector)
+            append_to_index(detector, database,
+                            [*detector.fingerprints, *detector.parse_failures])
+            database.connection.executemany(
+                "INSERT INTO scores (first, second, score) VALUES (?, ?, ?)",
+                scores)
+        return _manifest(database)
+    finally:
+        database.close()
+
+
+def _open(directory: Union[str, Path]) -> Database:
+    """Open the index database of ``directory``; never creates one."""
+    directory = Path(directory)
+    path = directory / CORPUS_DATABASE_NAME
+    if not path.exists():
+        refuse_legacy_layout(directory)
+        raise IndexFormatError(f"no index database at {path}")
+    try:
+        return Database(path, "")
+    except sqlite3.DatabaseError as error:
+        raise IndexFormatError(f"unreadable index database {path}: {error}") from error
+
+
+def _manifest(database: Database) -> Optional[dict]:
+    """Format version, counts and configuration; ``None`` for a fresh file."""
+    try:
+        version = database.fetchone("PRAGMA user_version")[0]
+        configuration = {name: json.loads(value) for name, value in
+                         database.fetchall("SELECT name, value FROM configuration")}
+        counts = {table: database.fetchone(f"SELECT COUNT(*) FROM {table}")[0]
+                  for table in ("fingerprints", "parse_failures")}
+    except sqlite3.DatabaseError as error:
+        raise IndexFormatError(
+            f"unreadable index database {database.path}: {error}") from error
+    if version == 0 and not configuration:
+        return None
+    if version != INDEX_FORMAT_VERSION:
+        raise IndexFormatError(
+            f"index at {database.path} has format version {version!r}, "
+            f"expected {INDEX_FORMAT_VERSION}")
+    return {
+        "format_version": version,
+        "documents": counts["fingerprints"],
+        "parse_failures": counts["parse_failures"],
+        "configuration": configuration,
+    }
 
 
 def read_manifest(directory: Union[str, Path]) -> dict:
     """The manifest of a saved index, validated for format compatibility."""
-    directory = Path(directory)
-    manifest = try_load_json(directory / MANIFEST_NAME)
-    if not isinstance(manifest, dict):
-        raise IndexFormatError(f"no readable index manifest at {directory / MANIFEST_NAME}")
-    if manifest.get("format_version") != INDEX_FORMAT_VERSION:
-        raise IndexFormatError(
-            f"index at {directory} has format version "
-            f"{manifest.get('format_version')!r}, expected {INDEX_FORMAT_VERSION}")
-    return manifest
+    database = _open(directory)
+    try:
+        manifest = _manifest(database)
+        if manifest is None:
+            raise IndexFormatError(f"no index saved in {database.path}")
+        return manifest
+    finally:
+        database.close()
 
 
-def load_index(
-    directory: Union[str, Path],
-    store=None,
-    strict: bool = True,
-) -> CloneDetector:
-    """Rebuild a :class:`~repro.ccd.detector.CloneDetector` from a saved index.
+def read_index(database: Database, store=None) -> Optional[CloneDetector]:
+    """The detector ``database`` holds, or ``None`` when it holds none yet.
 
-    No source is parsed: fingerprints and N-gram sets come straight out
-    of the shards.  ``store`` optionally attaches a shared
+    No source is parsed: fingerprints come straight out of their rows.
+    The detector's score memo writes through to ``database``.
+    ``store`` optionally attaches a shared
     :class:`~repro.core.artifacts.ArtifactStore` (its configuration must
-    match the manifest's).  With ``strict=True`` (default) an unreadable
-    shard raises :class:`IndexFormatError`; with ``strict=False`` the
-    affected shard's documents are silently skipped — callers can compare
-    ``len(detector)`` against ``manifest['documents']`` to detect loss.
+    match the index's).
     """
-    directory = Path(directory)
-    manifest = read_manifest(directory)
+    manifest = _manifest(database)
+    if manifest is None:
+        return None
     configuration = manifest["configuration"]
     try:
-        # older manifests predate the staged matcher: default backend
+        # a configuration without a backend row loads the default one
         backend = resolve_similarity_backend(configuration.get("similarity_backend"))
     except ValueError as error:
         # the index was saved by a detector carrying a custom
         # SimilarityBackend whose name is not in SIMILARITY_BACKENDS here;
         # store/configuration mismatches stay ValueError (caller-side)
         raise IndexFormatError(
-            f"index at {directory} has an unloadable configuration: {error}") from error
-    score_memo = None
-    memo_name = manifest.get("score_memo")
-    if memo_name and (directory / memo_name).exists():
-        # reattach the saved score tier: every previously computed pair
-        # score is warm (and write-through) before the first query runs
-        score_memo = ScoreMemoTable(directory / memo_name)
+            f"index at {database.path} has an unloadable configuration: "
+            f"{error}") from error
     detector = CloneDetector(
         ngram_size=configuration["ngram_size"],
         ngram_threshold=configuration["ngram_threshold"],
@@ -247,37 +243,45 @@ def load_index(
         fingerprint_window=configuration["fingerprint_window"],
         store=store,
         similarity_backend=backend,
-        score_memo=score_memo,
+        score_memo=ScoreMemoTable(database),
     )
-    for index in range(manifest["shards"]):
-        path = _shard_path(directory, index)
-        bucket = try_load_pickle(path)
-        if bucket is None:
-            if strict:
-                raise IndexFormatError(f"unreadable index shard {path}")
-            continue
-        for entry in bucket:
-            document_id, fingerprint, grams = entry[0], entry[1], entry[2]
-            detector.add_fingerprint(
-                document_id, fingerprint, grams=grams,
-                source_key=entry[3] if len(entry) > 3 else None)
-    failures = try_load_pickle(directory / PARSE_FAILURES_NAME)
-    if failures is None:
-        if strict and manifest.get("parse_failures", 0):
-            raise IndexFormatError(
-                f"unreadable parse-failure record {directory / PARSE_FAILURES_NAME}")
-        failures = []
-    detector.parse_failures.extend(failures)
+    for raw_id, source_key, text in database.fetchall(
+            "SELECT id, key, fingerprint FROM fingerprints ORDER BY rowid"):
+        detector.add_fingerprint(json.loads(raw_id), Fingerprint.parse(text),
+                                 source_key=source_key)
+    detector.parse_failures.extend(
+        json.loads(raw_id) for (raw_id,) in
+        database.fetchall("SELECT id FROM parse_failures ORDER BY rowid"))
     return detector
 
 
+def load_index(directory: Union[str, Path], store=None) -> CloneDetector:
+    """Rebuild a :class:`~repro.ccd.detector.CloneDetector` from a saved index.
+
+    See :func:`read_index`; a missing, unreadable or incompatible index
+    raises :class:`IndexFormatError`.
+    """
+    database = _open(directory)
+    try:
+        detector = read_index(database, store=store)
+        if detector is None:
+            raise IndexFormatError(f"no index saved in {database.path}")
+        return detector
+    except BaseException:
+        database.close()
+        raise
+
+
 __all__ = [
+    "CORPUS_DATABASE_NAME",
     "INDEX_FORMAT_VERSION",
     "IndexFormatError",
-    "MANIFEST_NAME",
+    "SCHEMA",
     "append_to_index",
     "load_index",
+    "read_index",
     "read_manifest",
+    "refuse_legacy_layout",
     "save_index",
-    "shard_of",
+    "write_configuration",
 ]

@@ -62,15 +62,6 @@ class NGramIndex:
         for document_id, fingerprint_text in documents:
             self.add(document_id, fingerprint_text)
 
-    def grams_for(self, document_id: Hashable) -> Optional[frozenset]:
-        """The indexed N-gram set of a document, or ``None`` when unknown.
-
-        Used by :mod:`repro.ccd.index_io` to serialize the index without
-        recomputing N-grams from fingerprint text.
-        """
-        grams = self._document_grams.get(document_id)
-        return frozenset(grams) if grams is not None else None
-
     def remove(self, document_id: Hashable) -> None:
         grams = self._document_grams.pop(document_id, set())
         for gram in grams:

@@ -16,10 +16,11 @@ identical pairs on every job.
   encoded *cutoff bounds* (``-U``: the true score is provably below
   ``U``), so a warm table answers even the pairs that were never scored
   exactly,
-* an optional SQLite tier (``scores.sqlite``, conventionally next to the
-  saved CCD index shards): scores are **written through** as they are
-  computed and loaded back eagerly on open, so a restarted daemon is
-  warm — a repeated job re-scores zero pairs,
+* an optional SQLite tier, the ``scores`` table of a saved CCD index
+  (:mod:`repro.ccd.index_io`) or of a file of its own: scores are
+  **written through** as they are computed and loaded back eagerly on
+  open, so a restarted daemon is warm — a repeated job re-scores zero
+  pairs,
 * reference-counted invalidation: every indexed document *registers* its
   sub-fingerprints; when a fingerprint is retired (``release``) and a
   sub's count drops to zero, every memoized pair involving that sub is
@@ -30,7 +31,10 @@ identical pairs on every job.
 
 The table is thread-safe (scheduler workers share one instance) and
 picklable (the connection is dropped and reopened lazily, like the
-detector's stats lock).
+detector's stats lock).  A table attached to a shared
+:class:`~repro.core.sqlite.Database` guards itself with that database's
+lock, so its writes join the owner's transactions and the two locks can
+never be taken in opposite orders.
 """
 
 from __future__ import annotations
@@ -43,14 +47,12 @@ from typing import Dict, Iterable, Optional, Tuple, Union
 
 from repro.core.sqlite import Database, quarantine
 
-#: file name of the persisted score tier, conventionally inside a saved
-#: index directory (see :mod:`repro.ccd.index_io`)
-SCORE_MEMO_NAME = "scores.sqlite"
-
-#: bump when the scores schema changes; mismatched tiers are discarded
+#: bump when the scores schema changes; a tier in a file of its own with
+#: another version is discarded
 SCORE_MEMO_FORMAT_VERSION = 1
 
-_SCHEMA = """
+#: the disk tier's table, part of every database a table writes through to
+SCORES_SCHEMA = """
 CREATE TABLE IF NOT EXISTS scores (
     first  TEXT NOT NULL,
     second TEXT NOT NULL,
@@ -58,11 +60,34 @@ CREATE TABLE IF NOT EXISTS scores (
     PRIMARY KEY (first, second)
 );
 CREATE INDEX IF NOT EXISTS scores_by_second ON scores (second);
+"""
+
+#: the format stamp of a tier in a file of its own
+_META_SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
     value TEXT NOT NULL
 );
 """
+
+
+def _open_file(path: Path) -> Database:
+    """Open a tier in a file of its own, stamped with its format version."""
+    try:
+        database = Database(path, SCORES_SCHEMA + _META_SCHEMA)
+    except sqlite3.DatabaseError:
+        # an unreadable tier degrades to a cold one, like the artifact cache
+        quarantine(path)
+        database = Database(path, SCORES_SCHEMA + _META_SCHEMA)
+    version = database.fetchone(
+        "SELECT value FROM meta WHERE key = 'format_version'")
+    if version is None or version[0] != str(SCORE_MEMO_FORMAT_VERSION):
+        if version is not None:
+            database.execute("DELETE FROM scores")
+        database.execute(
+            "REPLACE INTO meta (key, value) VALUES ('format_version', ?)",
+            (str(SCORE_MEMO_FORMAT_VERSION),))
+    return database
 
 
 def memo_key(first: str, second: str) -> Tuple[str, str]:
@@ -113,14 +138,17 @@ class ScoreMemoTable:
 
     Parameters
     ----------
-    path:
-        SQLite file of the disk tier; ``None`` keeps the table purely
-        in-memory (the default of a standalone :class:`MatchPipeline`).
-        An existing file is loaded eagerly, so every previously computed
-        score is warm before the first query runs.
+    database:
+        The disk tier: a :class:`~repro.core.sqlite.Database` whose
+        schema includes :data:`SCORES_SCHEMA` (a saved index's, shared
+        with its owner), or the path of a SQLite file of its own.
+        ``None`` keeps the table purely in-memory (the default of a
+        standalone :class:`MatchPipeline`).  Existing rows are loaded
+        eagerly, so every previously computed score is warm before the
+        first query runs.
     """
 
-    def __init__(self, path: Union[str, Path, None] = None):
+    def __init__(self, database: Union[Database, str, Path, None] = None):
         self._scores: Dict[Tuple[str, str], float] = {}
         #: sub-fingerprint -> keys it participates in (for invalidation)
         self._by_sub: Dict[str, set] = {}
@@ -131,37 +159,20 @@ class ScoreMemoTable:
         #: an invalidation can never resurrect a dropped row *after* it
         self._retired: set = set()
         self.stats = ScoreMemoStats()
-        self.path = Path(path) if path is not None else None
-        self._lock = threading.Lock()
+        if database is not None and not isinstance(database, Database):
+            database = _open_file(Path(database))
         #: the disk tier; ``None`` while the table is purely in-memory
-        self._connection: Optional[Database] = None
-        if self.path is not None:
-            self._open()
-
-    # -- the disk tier --------------------------------------------------------
-    def _open(self) -> None:
-        try:
-            self._connection = Database(self.path, _SCHEMA)
-        except sqlite3.DatabaseError:
-            # an unreadable tier degrades to a cold one, like the artifact cache
-            quarantine(self.path)
-            self._connection = Database(self.path, _SCHEMA)
-        version = self._connection.fetchone(
-            "SELECT value FROM meta WHERE key = 'format_version'")
-        if version is None or version[0] != str(SCORE_MEMO_FORMAT_VERSION):
-            if version is not None:
-                self._connection.execute("DELETE FROM scores")
-            self._connection.execute(
-                "REPLACE INTO meta (key, value) VALUES ('format_version', ?)",
-                (str(SCORE_MEMO_FORMAT_VERSION),))
-        try:
-            rows = self._connection.fetchall(
-                "SELECT first, second, score FROM scores")
-        except sqlite3.DatabaseError:
-            rows = []
-        for first, second, score in rows:
-            self._remember((first, second), score)
-        self.stats.warm_loaded += len(rows)
+        self._connection: Optional[Database] = database
+        self.path = database.path if database is not None else None
+        self._lock = database.lock if database is not None else threading.Lock()
+        if database is not None:
+            try:
+                rows = database.fetchall("SELECT first, second, score FROM scores")
+            except sqlite3.DatabaseError:
+                rows = []
+            for first, second, score in rows:
+                self._remember((first, second), score)
+            self.stats.warm_loaded += len(rows)
 
     def close(self) -> None:
         """Close the disk tier (in-memory lookups keep working)."""
@@ -175,6 +186,11 @@ class ScoreMemoTable:
         """Whether this table writes scores through to a disk tier."""
         return self.path is not None
 
+    def rows(self) -> list:
+        """Every memoized ``(first, second, score)`` row, as a snapshot."""
+        with self._lock:
+            return [(key[0], key[1], score) for key, score in self._scores.items()]
+
     # -- pickling (MatchPipeline/CloneDetector round-trip through pickle) -----
     def __getstate__(self):
         """Drop the lock and connection; keep the memo contents and path."""
@@ -187,13 +203,14 @@ class ScoreMemoTable:
         """Restore with a fresh lock; reattach the disk tier when configured."""
         self.__dict__.update(state)
         self.__dict__.setdefault("_retired", set())
-        self._lock = threading.Lock()
         self._connection = None
         if self.path is not None:
             try:
-                self._connection = Database(self.path, _SCHEMA)
+                self._connection = Database(self.path, SCORES_SCHEMA)
             except sqlite3.DatabaseError:
                 self.stats.disk_errors += 1
+        self._lock = self._connection.lock if self._connection is not None \
+            else threading.Lock()
 
     # -- lookups --------------------------------------------------------------
     def __len__(self) -> int:
@@ -302,33 +319,6 @@ class ScoreMemoTable:
             except sqlite3.DatabaseError:
                 self.stats.disk_errors += 1
 
-    # -- persistence helpers (used by repro.ccd.index_io) ---------------------
-    def persist_to(self, path: Union[str, Path]) -> int:
-        """Attach (or dump into) a disk tier at ``path``; returns rows written.
-
-        A purely in-memory table becomes persistent at ``path`` — every
-        already-memoized score is flushed there and future scores write
-        through.  A table already attached at ``path`` is a no-op (it is
-        live).  Saving an index therefore ships its warm scores.
-        """
-        path = Path(path)
-        with self._lock:
-            if self._connection is not None and self.path == path:
-                return 0
-            if self._connection is not None:
-                self._connection.close()
-            self.path = path
-            self._connection = Database(path, _SCHEMA)
-            self._connection.execute(
-                "REPLACE INTO meta (key, value) VALUES ('format_version', ?)",
-                (str(SCORE_MEMO_FORMAT_VERSION),))
-            rows = [(key[0], key[1], score)
-                    for key, score in self._scores.items()]
-            self._connection.connection.executemany(
-                "REPLACE INTO scores (first, second, score) VALUES (?, ?, ?)",
-                rows)
-            return len(rows)
-
     def disk_rows(self) -> int:
         """Number of rows in the disk tier (0 when purely in-memory)."""
         with self._lock:
@@ -352,8 +342,8 @@ class ScoreMemoTable:
 
 
 __all__ = [
+    "SCORES_SCHEMA",
     "SCORE_MEMO_FORMAT_VERSION",
-    "SCORE_MEMO_NAME",
     "ScoreMemoStats",
     "ScoreMemoTable",
     "memo_key",

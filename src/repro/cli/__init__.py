@@ -177,11 +177,10 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
     indexed = detector.add_corpus(
         [(contract.address, contract.source) for contract in contracts])
     elapsed = time.perf_counter() - started
-    manifest = detector.save_index(args.output, shards=args.shards)
+    manifest = detector.save_index(args.output)
     print(f"indexed {indexed}/{len(contracts)} contracts in {elapsed:.2f}s "
           f"({len(detector.parse_failures)} unparsable)")
-    print(f"saved {manifest['documents']} fingerprints in {manifest['shards']} "
-          f"shard(s) to {args.output}")
+    print(f"saved {manifest['documents']} fingerprints to {args.output}")
     if store is not None:
         print(render_cache_stats(store.stats))
         store.close()
@@ -195,8 +194,7 @@ def _cmd_index_info(args: argparse.Namespace) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 1
     rows = [["documents", manifest["documents"]],
-            ["shards", manifest["shards"]],
-            ["parse failures", manifest.get("parse_failures", 0)]]
+            ["parse failures", manifest["parse_failures"]]]
     rows.extend([key, value] for key, value in sorted(manifest["configuration"].items()))
     print(render_table(["Field", "Value"], rows, title=f"Index at {args.index}"))
     return 0
@@ -566,7 +564,6 @@ def _build_daemon(args: argparse.Namespace):
         ngram_threshold=args.ngram_threshold,
         similarity_threshold=args.similarity_threshold,
         similarity_backend=args.similarity_backend,
-        index_shards=args.index_shards,
         log_requests=args.verbose,
         max_pending_jobs=args.max_pending_jobs,
         max_connections=args.max_connections,
@@ -662,17 +659,15 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         if args.ingest:
             summary = client.ingest(
                 [(contract.address, contract.source) for contract in contracts])
+            placement = ""
             if "routed" in summary:  # a coordinator routed it across shards
                 placement = ", ".join(
                     f"{shard}: {count}"
                     for shard, count in sorted(summary["routed"].items()))
-                placement = f"routed {{{placement}}}"
-            else:
-                placement = (f"{summary['shards_rewritten']} shard(s) "
-                             f"rewritten")
+                placement = f", routed {{{placement}}}"
             print(f"ingested {summary['ingested']} contracts "
                   f"({len(summary['rejected'])} unparsable; index now "
-                  f"{summary['documents']} documents, {placement})")
+                  f"{summary['documents']} documents{placement})")
         job = client.submit(sources, analyses=analyses,
                             priority=args.priority, tenant=args.tenant)
         print(f"submitted job {job['id']} ({len(sources)} {args.corpus}, "
@@ -1166,10 +1161,8 @@ def build_parser() -> argparse.ArgumentParser:
         "index", help="build or inspect a saved CCD corpus index")
     index_commands = index.add_subparsers(dest="subcommand", required=True)
     build = index_commands.add_parser(
-        "build", help="fingerprint a contract corpus and save it sharded")
+        "build", help="fingerprint a contract corpus and save its index")
     build.add_argument("--output", required=True, help="index output directory")
-    build.add_argument("--shards", type=int, default=4,
-                       help="number of hash-prefix shards (default: 4)")
     build.add_argument("--cache", default=None,
                        help="disk artifact cache directory (warm restarts)")
     _add_detector_arguments(build)
@@ -1275,9 +1268,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--batch-aging", type=int, default=4,
                        help="serve at most this many consecutive interactive "
                             "jobs before a waiting batch job runs "
-                            "(default: 4)")
-    serve.add_argument("--index-shards", type=int, default=4,
-                       help="hash-prefix shards of the persisted index "
                             "(default: 4)")
     serve.add_argument("--no-cache", action="store_true",
                        help="disable the disk artifact cache under the data dir")

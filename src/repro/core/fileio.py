@@ -1,11 +1,11 @@
 """Atomic file primitives shared by every persistence layer.
 
 These helpers are deliberately free of any ``repro`` imports so that low
-layers (e.g. :mod:`repro.ccd.index_io`) can use them without pulling in
-the artifact store.  All writers go through a temporary sibling file and
-:func:`os.replace`, so a reader never observes a half-written file and a
-killed process never leaves a torn payload — the invariant the study
-checkpoints and index shards are built on.  The ``try_load_*`` readers
+layers can use them without pulling in the artifact store.  All writers
+go through a temporary sibling file and :func:`os.replace`, so a reader
+never observes a half-written file and a killed process never leaves a
+torn payload — the invariant the study checkpoints and a daemon's
+``queries.json`` are built on.  The ``try_load_*`` readers
 return ``None`` on *any* corruption instead of raising: persistent caches
 must degrade to recomputation, not fail the run.
 """

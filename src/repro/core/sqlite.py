@@ -1,8 +1,10 @@
 """The one SQLite layer: every durable store opens, migrates and commits here.
 
-Its users are the artifact cache (``cache/artifacts.sqlite``), the score
-memo (``index/scores.sqlite``), the job queue (``jobs.sqlite``) and the
-source journals (``sources.sqlite``, a coordinator's ``corpus.sqlite``).
+Its users are the artifact cache (``cache/artifacts.sqlite``), the job
+queue (``jobs.sqlite``), a saved CCD index or a worker's corpus state
+(``corpus.sqlite``: source journal, index rows and score memo, see
+:mod:`repro.ccd.index_io`) and a coordinator's routing journal (its own
+``corpus.sqlite``).
 :func:`connect` opens one thread-shared autocommit connection in WAL mode
 with a :data:`BUSY_TIMEOUT_SECONDS` busy timeout; :class:`Database` adds
 the lock, retried statements and ``BEGIN IMMEDIATE`` transactions.

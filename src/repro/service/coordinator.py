@@ -55,6 +55,8 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.api.envelope import canonical_json
+# the coordinator's routing journal takes the worker's corpus file name
+from repro.ccd.index_io import CORPUS_DATABASE_NAME
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.delta import SourceJournal
 from repro.service.hashring import DEFAULT_RING_REPLICAS, HashRing, partition
@@ -67,9 +69,6 @@ from repro.service.workloads import WORKLOADS
 #: every HTTP route the coordinator serves, read off its route table —
 #: kept in lockstep with ``docs/service.md`` by ``tools/check_api.py``
 ROUTES = COORDINATOR_ROUTES.endpoints
-
-#: file name of the coordinator's routing journal inside its data dir
-CORPUS_DATABASE_NAME = "corpus.sqlite"
 
 
 def default_shard_names(count: int) -> Tuple[str, ...]:

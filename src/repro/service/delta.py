@@ -14,15 +14,17 @@ re-upload (or even re-read) the rest of the corpus:
   applied here.  ``base_version`` is optional but recommended.
 
 Both forms normalize to plain ``(id, source)`` pairs before they reach
-the detector, so every downstream layer (index, shards, cluster routing)
-is oblivious to how the source arrived.
+the detector, so every downstream layer (index, cluster routing) is
+oblivious to how the source arrived.
 
 :class:`SourceJournal` retains every ingested source, recorded at ingest
 time, so a diff has a base to apply to: one SQLite table of ``id ->
-(source, tag)``.  A worker keeps ``sources.sqlite`` in its data directory,
-tagging each source with its content key; the cluster coordinator's
-:class:`~repro.service.coordinator.CorpusJournal` is the same journal in
-``corpus.sqlite``, tagging each source with the shard it was routed to.
+(source, tag)``.  A worker keeps it as the ``sources`` table of the
+corpus database in its data directory, beside the CCD index rows it is
+committed with, tagging each source with its content key; the cluster
+coordinator's :class:`~repro.service.coordinator.CorpusJournal` is the
+same journal in its own ``corpus.sqlite``, tagging each source with the
+shard it was routed to.
 
 Everything here is stdlib-only, like the rest of the service.
 """
@@ -37,9 +39,6 @@ from typing import Callable, Hashable, Iterable, List, Optional, Tuple, Union
 
 from repro.core.artifacts import content_key
 from repro.core.sqlite import Database
-
-#: file name of the source-retention database inside a service data dir
-SOURCES_DATABASE_NAME = "sources.sqlite"
 
 _HUNK_HEADER = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
 
@@ -240,10 +239,16 @@ class SourceJournal:
     );
     """
 
-    def __init__(self, path: Union[str, Path]):
-        self.path = Path(path)
-        self._connection = Database(
-            self.path, self._SCHEMA.format(table=self.TABLE, tag=self.TAG))
+    @classmethod
+    def schema(cls) -> str:
+        """The ``CREATE`` script of the journal's table."""
+        return cls._SCHEMA.format(table=cls.TABLE, tag=cls.TAG)
+
+    def __init__(self, database: Union[Database, str, Path]):
+        """Journal into ``database`` (its schema has :meth:`schema`) or a path."""
+        if not isinstance(database, Database):
+            database = Database(database, self.schema())
+        self._connection = database
 
     def close(self) -> None:
         """Close the database connection (idempotent)."""
@@ -287,7 +292,6 @@ class SourceJournal:
 
 __all__ = [
     "DeltaError",
-    "SOURCES_DATABASE_NAME",
     "SourceJournal",
     "apply_unified_diff",
     "make_unified_diff",

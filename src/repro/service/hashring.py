@@ -11,8 +11,7 @@ actually changed), instead of reshuffling everything the way a bare
 Determinism is load-bearing here: the byte-parity test harness predicts
 document placement from outside the coordinator process, so ring points
 are derived from SHA-256 (never from ``hash()``, which is salted per
-process) and keys are hashed through ``repr`` exactly like
-`repro.ccd.index_io.shard_of` hashes on-disk index shards.
+process) and keys are hashed through ``repr``.
 """
 
 from __future__ import annotations
@@ -35,8 +34,8 @@ def _point(value: str) -> int:
 
 
 def key_point(document_id: Hashable) -> int:
-    """Ring position of one document id (hashed via ``repr``, like
-    `repro.ccd.index_io.shard_of`, so str/int ids cannot collide)."""
+    """Ring position of one document id (hashed via ``repr``, so str/int
+    ids cannot collide)."""
     return _point(repr(document_id))
 
 

@@ -24,8 +24,10 @@ third-party web framework.  ``docs/service.md`` is the full reference.
 
 Durability: jobs live in a :class:`~repro.service.jobstore.JobStore`
 (SQLite) and survive restarts — on startup, jobs a killed daemon left
-``running`` are requeued and drained again, and the CCD index reloads
-from its sharded on-disk form with zero parses.
+``running`` are requeued and drained again.  The worker's corpus state —
+source journal, CCD index rows, parse failures and pair-score memo — is
+one SQLite file, ``corpus.sqlite``; each ingest commits to it in one
+transaction, and a restart reloads the index from it with zero parses.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import dataclasses
 import json
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -42,16 +45,20 @@ from repro.api.envelope import canonical_json
 from repro.api.registry import REGISTRY
 from repro.api.session import AnalysisSession, SessionConfig
 from repro.ccd.detector import CloneDetector
-from repro.ccd.index_io import MANIFEST_NAME, append_to_index
-from repro.ccd.matcher import DEFAULT_SIMILARITY_BACKEND, resolve_similarity_backend
-from repro.ccd.score_memo import SCORE_MEMO_NAME, ScoreMemoTable
-from repro.core.artifacts import content_key
-from repro.service.delta import (
-    SOURCES_DATABASE_NAME,
-    DeltaError,
-    SourceJournal,
-    resolve_ingest_documents,
+from repro.ccd.index_io import (
+    CORPUS_DATABASE_NAME,
+    SCHEMA,
+    append_to_index,
+    read_index,
+    refuse_legacy_layout,
+    write_configuration,
 )
+from repro.ccd.matcher import DEFAULT_SIMILARITY_BACKEND, resolve_similarity_backend
+from repro.ccd.score_memo import ScoreMemoTable
+from repro.core.artifacts import content_key
+from repro.core.fileio import dump_json
+from repro.core.sqlite import Database
+from repro.service.delta import DeltaError, SourceJournal, resolve_ingest_documents
 from repro.service.gateway import AsyncGateway, GatewayConfig
 from repro.service.jobstore import (
     DEFAULT_BATCH_AGING,
@@ -74,9 +81,6 @@ ROUTES = WORKER_ROUTES.endpoints
 
 #: file inside the data dir persisting registered custom query specs
 QUERIES_FILE_NAME = "queries.json"
-
-#: subdirectory of the data dir holding the persisted CCD index
-INDEX_DIRECTORY_NAME = "index"
 
 #: subdirectory of the data dir holding the disk artifact cache
 CACHE_DIRECTORY_NAME = "cache"
@@ -201,9 +205,9 @@ class ServiceConfig(DaemonConfig):
     """Typed configuration of an :class:`AnalysisService` daemon.
 
     Extends the shared :class:`DaemonConfig` with the session knobs of
-    :class:`~repro.api.session.SessionConfig` and the worker's own:
-    scheduler worker count and index shard layout.  The data directory
-    holds ``jobs.sqlite``, ``index/``, and ``cache/``.
+    :class:`~repro.api.session.SessionConfig` and the worker's own
+    scheduler worker count.  The data directory holds ``jobs.sqlite``,
+    ``corpus.sqlite`` and ``cache/``.
     """
 
     #: executor backend of the resident session
@@ -223,8 +227,6 @@ class ServiceConfig(DaemonConfig):
     similarity_backend: str = DEFAULT_SIMILARITY_BACKEND
     checker_timeout: Optional[float] = None
     stream_window: int = 4
-    #: hash-prefix shards of the persisted index
-    index_shards: int = 4
 
     def session_config(self) -> SessionConfig:
         """The resident session this daemon configuration describes."""
@@ -241,10 +243,6 @@ class ServiceConfig(DaemonConfig):
             ngram_threshold=self.ngram_threshold,
             similarity_threshold=self.similarity_threshold,
             similarity_backend=self.similarity_backend,
-            # jobs that decline the resident index still share the
-            # persistent corpus-global pair-score memo
-            score_memo_path=str(
-                Path(self.data_dir) / INDEX_DIRECTORY_NAME / SCORE_MEMO_NAME),
             checker_timeout=self.checker_timeout,
             stream_window=self.stream_window,
         )
@@ -499,21 +497,25 @@ class AnalysisService(Daemon):
 
     def __init__(self, config: Optional[ServiceConfig] = None):
         config = config if config is not None else ServiceConfig()
+        # the index directory of a data dir from before corpus.sqlite
+        refuse_legacy_layout(Path(config.data_dir) / "index")
         super().__init__(config, workers=config.workers)
         self.session = AnalysisSession(config.session_config())
-        self.index_dir = self.data_dir / INDEX_DIRECTORY_NAME
+        #: the corpus state: source journal, index rows, parse failures
+        #: and score memo, written together in one transaction per ingest
+        self.database = Database(self.data_dir / CORPUS_DATABASE_NAME,
+                               SCHEMA + SourceJournal.schema())
         self.detector = self._open_detector()
         #: retained sources backing the diff ingest form and `repro watch`
-        self.source_journal = SourceJournal(
-            self.data_dir / SOURCES_DATABASE_NAME)
+        self.source_journal = SourceJournal(self.database)
 
     def _open_detector(self) -> CloneDetector:
         """Reload the persisted index (zero parses) or start an empty one."""
         config = self.config
-        if (self.index_dir / MANIFEST_NAME).exists():
-            detector = CloneDetector.load(self.index_dir, store=self.session.store)
+        detector = read_index(self.database, store=self.session.store)
+        if detector is not None:
             # the structural parameters (N-gram size, fuzzy-hash shape) are
-            # baked into the persisted artifacts and validated by load();
+            # baked into the persisted artifacts and validated by the load;
             # the thresholds and the verification backend are query-time
             # knobs (δ is pure, so neither the artifacts nor the score memo
             # depend on the backend) and follow the daemon configuration,
@@ -522,12 +524,8 @@ class AnalysisService(Daemon):
             detector.similarity_threshold = config.similarity_threshold
             detector.matcher.backend = resolve_similarity_backend(
                 config.similarity_backend)
-            if not detector.score_memo.persistent:
-                # indexes saved before the score-memo tier existed: attach
-                # one now so this daemon's scores survive its restarts
-                detector.score_memo.persist_to(self.index_dir / SCORE_MEMO_NAME)
             return detector
-        return CloneDetector(
+        detector = CloneDetector(
             ngram_size=config.ngram_size,
             ngram_threshold=config.ngram_threshold,
             similarity_threshold=config.similarity_threshold,
@@ -537,13 +535,28 @@ class AnalysisService(Daemon):
             similarity_backend=config.similarity_backend,
             # write-through from the first ingest: pair scores computed by
             # this daemon are warm for the next one over the same data dir
-            score_memo=ScoreMemoTable(self.index_dir / SCORE_MEMO_NAME),
+            score_memo=ScoreMemoTable(self.database),
         )
+        with self.database.transaction():
+            write_configuration(self.database, detector)
+        return detector
 
     def _close(self) -> None:
-        """Close the resident session and the source journal."""
+        """Close the resident session and the corpus database."""
         self.session.close()
-        self.source_journal.close()
+        self.database.close()
+
+    @contextmanager
+    def _ingest_transaction(self):
+        """One ingest's transaction; a rollback rolls the live index back too."""
+        try:
+            with self.database.transaction():
+                yield
+        except BaseException:
+            # the rows were rolled back: reload the live index from them, so
+            # a retry is not taken for an unchanged re-ingest
+            self.detector = self._open_detector()
+            raise
 
     def _run(self, job: Job, should_stop) -> Outcome:
         """Run one claimed job through the resident session.
@@ -572,8 +585,9 @@ class AnalysisService(Daemon):
         """Add documents to the live CCD index and persist them incrementally.
 
         New sources become matchable immediately — no restart, no full
-        re-index: the in-memory N-gram index is appended live, and only
-        the on-disk shards the new documents hash into are rewritten.
+        re-index: the in-memory N-gram index is appended live, and the
+        request's journal, index, parse-failure and score-memo rows
+        commit in one transaction, so a crash keeps all or none of them.
         Unparsable documents are reported in ``rejected``, and
         re-ingesting a known id replaces its indexed fingerprint — a
         known id re-ingested with unparsable source is *retired* from
@@ -585,7 +599,7 @@ class AnalysisService(Daemon):
         retained copy of the source, and a stale ``base_version`` is
         rejected with 400.  Re-ingesting byte-identical source is a
         no-op (reported in ``unchanged``): zero parses, zero score-memo
-        transitions, zero shards rewritten for that document.
+        transitions, zero rows written for that document.
 
         ``remove`` lists document ids to drop from the index entirely
         (the cluster coordinator uses this to rebalance shards); ids the
@@ -596,29 +610,38 @@ class AnalysisService(Daemon):
             documents, remove, self.source_journal)
         with self._work_lock.write():  # exclusive: no matching during mutation
             detector = self.detector
-            ingested, rejected, retired, removed, unchanged = [], [], [], [], []
-            for document_id in remove:
-                if detector.remove_fingerprint(document_id) is not None:
-                    removed.append(document_id)
-                    self.source_journal.forget(document_id)
-                if document_id in detector.parse_failures:
-                    detector.parse_failures.remove(document_id)
+            unchanged, parsed = [], []
             for document_id, source in documents:
                 source_key = content_key(source)
-                if (detector.source_keys.get(document_id) == source_key
+                if (document_id not in remove
+                        and detector.source_keys.get(document_id) == source_key
                         and document_id in detector.fingerprints):
                     # no-op fast path: identical bytes change nothing, so
-                    # skip the retire/rebuild (and the shard rewrite) entirely
+                    # skip the retire/rebuild (and the row writes) entirely
                     unchanged.append(document_id)
-                    continue
-                previously_indexed = document_id in detector.fingerprints
-                if detector.add_document(document_id, source):
-                    ingested.append(document_id)
-                    self.source_journal.record(document_id, source, source_key)
-                    # a fixed re-ingest clears the old failure record
+                else:
+                    # parse before the transaction, so the database lock
+                    # (which /v1/stats takes too) is held only for the writes
+                    parsed.append((document_id, source, source_key,
+                                   *detector.try_fingerprint(source)))
+            with self._ingest_transaction():
+                ingested, rejected, retired, removed = [], [], [], []
+                for document_id in remove:
+                    if detector.remove_fingerprint(document_id) is not None:
+                        removed.append(document_id)
+                        self.source_journal.forget(document_id)
                     if document_id in detector.parse_failures:
                         detector.parse_failures.remove(document_id)
-                else:
+                for document_id, source, source_key, fingerprint, grams in parsed:
+                    previously_indexed = document_id in detector.fingerprints
+                    if detector.add_fingerprint(document_id, fingerprint,
+                                                grams=grams, source_key=source_key):
+                        ingested.append(document_id)
+                        self.source_journal.record(document_id, source, source_key)
+                        # a fixed re-ingest clears the old failure record
+                        if document_id in detector.parse_failures:
+                            detector.parse_failures.remove(document_id)
+                        continue
                     rejected.append(document_id)
                     if previously_indexed:
                         # replace semantics: an unparsable re-ingest retires
@@ -627,18 +650,10 @@ class AnalysisService(Daemon):
                         detector.remove_fingerprint(document_id)
                         retired.append(document_id)
                         self.source_journal.forget(document_id)
-            # one failure record per document, however often it was re-posted
-            detector.parse_failures[:] = dict.fromkeys(detector.parse_failures)
-            # rejected batches still persist the parse-failure record;
-            # an all-unchanged batch touches no file at all
-            if ingested or retired or removed or rejected:
-                summary = append_to_index(
-                    detector, self.index_dir, ingested,
-                    shards=self.config.index_shards,
-                    remove_ids=retired + removed)
-                shards_rewritten = summary["shards_rewritten"]
-            else:
-                shards_rewritten = 0
+                # one failure record per document, however often it was re-posted
+                detector.parse_failures[:] = dict.fromkeys(detector.parse_failures)
+                append_to_index(detector, self.database,
+                                [*remove, *ingested, *rejected])
         return {
             "ingested": len(ingested),
             "rejected": rejected,
@@ -646,7 +661,6 @@ class AnalysisService(Daemon):
             "unchanged": len(unchanged),
             "documents": len(self.detector),
             "parse_failures": len(self.detector.parse_failures),
-            "shards_rewritten": shards_rewritten,
         }
 
     def corpus(self) -> dict:
@@ -755,8 +769,8 @@ def register_custom_query(spec, path: Path) -> dict:
              if hasattr(existing, "spec")
              and existing.query_id != query.query_id]
     specs.append(query.spec)
-    path.write_text(
-        json.dumps(specs, indent=2, sort_keys=True), encoding="utf-8")
+    # temp sibling + rename: a failed write leaves the previous file whole
+    dump_json(path, specs)
     return {"query": query.spec}
 
 
@@ -783,7 +797,6 @@ __all__ = [
     "CACHE_DIRECTORY_NAME",
     "Daemon",
     "DaemonConfig",
-    "INDEX_DIRECTORY_NAME",
     "QUERIES_FILE_NAME",
     "ROUTES",
     "ServiceConfig",

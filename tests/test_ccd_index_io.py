@@ -1,18 +1,23 @@
-"""Tests for CCD corpus index serialization (save / shard / reload)."""
+"""Tests for CCD corpus index persistence (save / append / reload)."""
+
+import json
+import sqlite3
 
 import pytest
 
 from repro.api import AnalysisSession
 from repro.ccd.detector import CloneDetector
 from repro.ccd.index_io import (
+    CORPUS_DATABASE_NAME,
+    SCHEMA,
     IndexFormatError,
-    MANIFEST_NAME,
+    append_to_index,
     load_index,
     read_manifest,
     save_index,
-    shard_of,
 )
 from repro.core.persistence import DiskArtifactStore
+from repro.core.sqlite import Database
 from repro.datasets.sanctuary import generate_sanctuary
 from repro.datasets.snippets import generate_qa_corpus
 
@@ -42,48 +47,60 @@ def detector(corpus):
     return detector
 
 
-class TestShardOf:
-    def test_stable_and_in_range(self):
-        for shards in (1, 4, 16):
-            for document_id in ("0xabc", "s1", 42, ("tuple", 1)):
-                shard = shard_of(document_id, shards)
-                assert 0 <= shard < shards
-                assert shard == shard_of(document_id, shards)
-
-    def test_distributes_documents(self):
-        shards = {shard_of(f"0x{i:040x}", 8) for i in range(200)}
-        assert len(shards) == 8
+def set_configuration(directory, name, value=None):
+    """Rewrite (or, with ``value=None``, drop) one saved configuration row."""
+    connection = sqlite3.connect(directory / CORPUS_DATABASE_NAME)
+    with connection:
+        if value is None:
+            connection.execute("DELETE FROM configuration WHERE name = ?", (name,))
+        else:
+            connection.execute("UPDATE configuration SET value = ? WHERE name = ?",
+                               (json.dumps(value), name))
+    connection.close()
 
 
 class TestSaveLoadEquivalence:
     def test_roundtrip_results_identical(self, tmp_path, detector, corpus):
         _, queries = corpus
         baseline = find_clones(detector, queries)
-        manifest = save_index(detector, tmp_path / "index", shards=4)
+        manifest = save_index(detector, tmp_path / "index")
         assert manifest["documents"] == len(detector)
+        assert sorted(path.name for path in (tmp_path / "index").iterdir()
+                      if path.suffix == ".sqlite") == [CORPUS_DATABASE_NAME]
         reloaded = load_index(tmp_path / "index")
         assert len(reloaded) == len(detector)
         assert find_clones(reloaded, queries) == baseline
 
-    def test_shard_counts_are_equivalent(self, tmp_path, detector, corpus):
-        _, queries = corpus
-        results = []
-        for shards in (1, 3, 8):
-            directory = tmp_path / f"index-{shards}"
-            save_index(detector, directory, shards=shards)
-            assert read_manifest(directory)["shards"] == shards
-            results.append(find_clones(load_index(directory), queries))
-        assert results[0] == results[1] == results[2]
-
-    def test_resave_with_fewer_shards_drops_stale_files(self, tmp_path, detector):
+    def test_resave_replaces_the_previous_index(self, tmp_path, detector):
         directory = tmp_path / "index"
-        save_index(detector, directory, shards=8)
-        save_index(detector, directory, shards=2)
-        names = sorted(p.name for p in directory.glob("shard-*.pkl"))
-        assert names == ["shard-0000.pkl", "shard-0001.pkl"]
+        save_index(detector, directory)
+        smaller = CloneDetector(similarity_threshold=0.9)
+        smaller.add_corpus([("only", "contract C { function f() public {} }"),
+                            ("bad", "not solidity {{{")])
+        manifest = save_index(smaller, directory)
+        assert (manifest["documents"], manifest["parse_failures"]) == (1, 1)
+        reloaded = load_index(directory)
+        assert list(reloaded.fingerprints) == ["only"]
+        assert reloaded.parse_failures == ["bad"]
+
+    def test_empty_contracts_match_identically_after_reload(self, tmp_path):
+        # a fingerprint with an empty contract reparses as [""], not [];
+        # sub-fingerprints drop empty entries, so matches cannot differ
+        source = ("contract Empty {}\n"
+                  "contract Full { function f(uint a) public "
+                  "{ msg.sender.transfer(a); } }")
+        detector = CloneDetector(similarity_threshold=0.5)
+        assert detector.add_document("mixed", source)
+        assert [] in detector.fingerprints["mixed"].contracts
+        save_index(detector, tmp_path / "index")
+        reloaded = load_index(tmp_path / "index")
+        assert reloaded.fingerprints["mixed"].sub_fingerprints == \
+            detector.fingerprints["mixed"].sub_fingerprints
+        query = [("q", "function g(uint b) public { msg.sender.transfer(b); }")]
+        assert find_clones(reloaded, query) == find_clones(detector, query)
 
     def test_load_performs_zero_parses(self, tmp_path, detector):
-        save_index(detector, tmp_path / "index", shards=2)
+        save_index(detector, tmp_path / "index")
         store = DiskArtifactStore(tmp_path / "cache")
         reloaded = load_index(tmp_path / "index", store=store)
         assert len(reloaded) == len(detector)
@@ -116,7 +133,7 @@ class TestSaveLoadEquivalence:
 
     def test_detector_convenience_methods(self, tmp_path, detector, corpus):
         _, queries = corpus
-        detector.save_index(tmp_path / "index", shards=2)
+        detector.save_index(tmp_path / "index")
         reloaded = CloneDetector.load(tmp_path / "index")
         assert find_clones(reloaded, queries) == find_clones(detector, queries)
         assert reloaded.ngram_size == detector.ngram_size
@@ -127,27 +144,34 @@ class TestCorruptionHandling:
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(IndexFormatError):
             load_index(tmp_path / "nothing-here")
+        with pytest.raises(IndexFormatError):
+            read_manifest(tmp_path / "nothing-here")
+        assert list(tmp_path.iterdir()) == []  # a failed load creates nothing
 
     def test_bad_format_version_raises(self, tmp_path, detector):
         directory = tmp_path / "index"
         save_index(detector, directory)
-        (directory / MANIFEST_NAME).write_text('{"format_version": 999}')
+        connection = sqlite3.connect(directory / CORPUS_DATABASE_NAME)
+        connection.execute("PRAGMA user_version = 999")
+        connection.close()
         with pytest.raises(IndexFormatError):
             load_index(directory)
 
-    def test_corrupt_shard_strict_raises(self, tmp_path, detector):
+    def test_corrupt_database_raises(self, tmp_path, detector):
         directory = tmp_path / "index"
-        save_index(detector, directory, shards=2)
-        (directory / "shard-0001.pkl").write_bytes(b"garbage")
+        save_index(detector, directory)
+        for path in directory.iterdir():
+            path.write_bytes(b"garbage")
         with pytest.raises(IndexFormatError):
             load_index(directory)
 
-    def test_corrupt_shard_lenient_skips(self, tmp_path, detector):
+    def test_pickle_shard_layout_is_refused(self, tmp_path):
         directory = tmp_path / "index"
-        manifest = save_index(detector, directory, shards=2)
-        (directory / "shard-0001.pkl").write_bytes(b"garbage")
-        partial = load_index(directory, strict=False)
-        assert 0 < len(partial) < manifest["documents"]
+        directory.mkdir()
+        (directory / "index.json").write_text('{"format_version": 1}')
+        with pytest.raises(IndexFormatError, match="retired pickle-shard layout"):
+            load_index(directory)
+        assert sorted(path.name for path in directory.iterdir()) == ["index.json"]
 
 
 class TestSimilarityBackendRoundtrip:
@@ -165,36 +189,21 @@ class TestSimilarityBackendRoundtrip:
         assert load_index(tmp_path / "index").similarity_backend == "myers"
 
     def test_legacy_manifest_without_backend_loads_with_default(self, tmp_path, detector):
-        import json
-
         directory = tmp_path / "index"
         save_index(detector, directory)
-        manifest_path = directory / MANIFEST_NAME
-        manifest = json.loads(manifest_path.read_text())
-        del manifest["configuration"]["similarity_backend"]
-        manifest_path.write_text(json.dumps(manifest))
+        set_configuration(directory, "similarity_backend")
         assert load_index(directory).similarity_backend == "myers"
 
     def test_retired_bounded_backend_loads_as_myers(self, tmp_path, detector):
-        import json
-
         directory = tmp_path / "index"
         save_index(detector, directory)
-        manifest_path = directory / MANIFEST_NAME
-        manifest = json.loads(manifest_path.read_text())
-        manifest["configuration"]["similarity_backend"] = "bounded"
-        manifest_path.write_text(json.dumps(manifest))
+        set_configuration(directory, "similarity_backend", "bounded")
         assert load_index(directory).similarity_backend == "myers"
 
     def test_unregistered_backend_name_is_a_format_error(self, tmp_path, detector):
-        import json
-
         directory = tmp_path / "index"
         save_index(detector, directory)
-        manifest_path = directory / MANIFEST_NAME
-        manifest = json.loads(manifest_path.read_text())
-        manifest["configuration"]["similarity_backend"] = "custom-unregistered"
-        manifest_path.write_text(json.dumps(manifest))
+        set_configuration(directory, "similarity_backend", "custom-unregistered")
         with pytest.raises(IndexFormatError, match="unloadable configuration"):
             load_index(directory)
 
@@ -205,64 +214,74 @@ class TestAppendToIndex:
     def _fresh_copy(self, detector):
         copy = CloneDetector(similarity_threshold=detector.similarity_threshold)
         for document_id, fingerprint in detector.fingerprints.items():
-            copy.add_fingerprint(document_id, fingerprint,
-                                 grams=detector.index.grams_for(document_id))
+            copy.add_fingerprint(document_id, fingerprint)
         return copy
 
-    def test_append_rewrites_only_affected_shards(self, detector, tmp_path):
-        from repro.ccd.index_io import append_to_index
+    @staticmethod
+    def _append(live, directory, document_ids):
+        database = Database(directory / CORPUS_DATABASE_NAME, SCHEMA)
+        try:
+            statements: list = []
+            database.connection.set_trace_callback(statements.append)
+            with database.transaction():
+                append_to_index(live, database, document_ids)
+            return statements
+        finally:
+            database.close()
 
+    def test_append_writes_only_the_appended_rows(self, detector, tmp_path):
         live = self._fresh_copy(detector)
-        save_index(live, tmp_path, shards=8)
+        save_index(live, tmp_path)
         new_id = "0xfreshly-ingested"
         source = "contract Fresh { function f() public { msg.sender.transfer(1); } }"
         assert live.add_document(new_id, source)
-        summary = append_to_index(live, tmp_path, [new_id])
-        assert summary["appended"] == 1
-        assert summary["shards_rewritten"] == 1  # one document -> one shard
-        assert summary["manifest"]["documents"] == len(live)
+        statements = self._append(live, tmp_path, [new_id])
+        assert statements[0] == "BEGIN IMMEDIATE" and statements[-1] == "COMMIT"
+        writes = statements[1:-1]
+        assert len(writes) == 2  # one fingerprint row, one failure-row delete
+        assert all(" WHERE id = " in statement or "VALUES" in statement
+                   for statement in writes)
+        assert read_manifest(tmp_path)["documents"] == len(live)
         reloaded = load_index(tmp_path)
         assert new_id in reloaded.fingerprints
         assert len(reloaded) == len(live)
         assert reloaded.find_clones(source)[0].document_id == new_id
 
-    def test_append_to_empty_directory_falls_back_to_save(self, detector, tmp_path):
-        from repro.ccd.index_io import append_to_index
-
-        live = self._fresh_copy(detector)
-        summary = append_to_index(
-            live, tmp_path / "fresh", live.fingerprints, shards=3)
-        assert summary["appended"] == len(live)
-        reloaded = load_index(tmp_path / "fresh")
-        assert set(reloaded.fingerprints) == set(live.fingerprints)
-
     def test_reingesting_a_document_replaces_it(self, detector, tmp_path):
-        from repro.ccd.index_io import append_to_index
-
         live = self._fresh_copy(detector)
-        save_index(live, tmp_path, shards=2)
+        save_index(live, tmp_path)
         victim = next(iter(live.fingerprints))
         replacement = "contract Replaced { function g() public {} }"
         assert live.add_document(victim, replacement)
-        append_to_index(live, tmp_path, [victim])
+        self._append(live, tmp_path, [victim])
         reloaded = load_index(tmp_path)
         assert len(reloaded) == len(live)  # replaced, not duplicated
         assert reloaded.fingerprints[victim].text == \
             live.fingerprints[victim].text
 
     def test_append_with_remove_ids_retires_documents(self, detector, tmp_path):
-        from repro.ccd.index_io import append_to_index
-
         live = self._fresh_copy(detector)
-        save_index(live, tmp_path, shards=4)
+        save_index(live, tmp_path)
         victim = sorted(live.fingerprints)[0]
         live.remove_fingerprint(victim)
-        summary = append_to_index(live, tmp_path, [], remove_ids=[victim])
-        assert summary["appended"] == 0
-        assert summary["manifest"]["documents"] == len(live)
+        self._append(live, tmp_path, [victim])
+        assert read_manifest(tmp_path)["documents"] == len(live)
         reloaded = load_index(tmp_path)
         assert victim not in reloaded.fingerprints
         assert set(reloaded.fingerprints) == set(live.fingerprints)
+
+    def test_append_follows_the_parse_failure_record(self, tmp_path):
+        live = CloneDetector()
+        live.add_corpus([("good", "contract C { function f() public {} }"),
+                         ("flaky", "not solidity {{{")])
+        save_index(live, tmp_path)
+        assert live.add_document("flaky", "contract D { function g() public {} }")
+        live.parse_failures.remove("flaky")
+        assert not live.add_document("late", "also not {{{")
+        self._append(live, tmp_path, ["flaky", "late"])
+        reloaded = load_index(tmp_path)
+        assert reloaded.parse_failures == ["late"]
+        assert set(reloaded.fingerprints) == {"good", "flaky"}
 
 
 class TestIncrementalIndexState:
@@ -279,7 +298,7 @@ class TestIncrementalIndexState:
 
         live = CloneDetector(similarity_threshold=0.9)
         assert live.add_document("keyed", self.SOURCE)
-        save_index(live, tmp_path, shards=2)
+        save_index(live, tmp_path)
         reloaded = load_index(tmp_path)
         assert reloaded.source_keys["keyed"] == content_key(self.SOURCE)
         # ... which arms the no-op fast path across the save/load cycle:
@@ -288,16 +307,12 @@ class TestIncrementalIndexState:
         assert reloaded.add_document("keyed", self.SOURCE)
         assert reloaded.fingerprints["keyed"] is fingerprint
 
-    def test_legacy_three_tuple_shards_load(self, tmp_path):
-        import pickle
-
+    def test_rows_without_a_source_key_load(self, tmp_path):
         live = CloneDetector(similarity_threshold=0.9)
         assert live.add_document("keyed", self.SOURCE)
-        save_index(live, tmp_path, shards=1)
-        # strip the source-key column, as an index written before it existed
-        shard = tmp_path / "shard-0000.pkl"
-        bucket = pickle.loads(shard.read_bytes())
-        shard.write_bytes(pickle.dumps([entry[:3] for entry in bucket]))
+        # indexed from a bare fingerprint: the source bytes were never seen
+        live.add_fingerprint("keyed", live.fingerprints["keyed"])
+        save_index(live, tmp_path)
         reloaded = load_index(tmp_path)
         assert reloaded.source_keys == {}  # unknown, never wrong
         assert "keyed" in reloaded.fingerprints

@@ -21,10 +21,10 @@ import pytest
 
 from repro.api import AnalysisSession
 from repro.ccd.detector import CloneDetector
-from repro.ccd.index_io import load_index, save_index
+from repro.ccd.index_io import CORPUS_DATABASE_NAME, load_index, save_index
 from repro.ccd.score_memo import (
     SCORE_MEMO_FORMAT_VERSION,
-    SCORE_MEMO_NAME,
+    SCORES_SCHEMA,
     ScoreMemoTable,
     memo_key,
 )
@@ -33,6 +33,10 @@ from repro.ccd.similarity import (
     myers_bounded_edit_distance,
     myers_word_count,
 )
+from repro.core.sqlite import Database
+
+#: the file of a disk tier of its own
+SCORE_MEMO_NAME = "scores.sqlite"
 
 
 def find_clones(detector, queries):
@@ -217,19 +221,25 @@ class TestDiskTier:
         assert warm.stats.stores == 0  # nothing recomputed, nothing rewritten
         warm.close()
 
-    def test_persist_to_dumps_an_in_memory_table(self, tmp_path):
-        memo = ScoreMemoTable()
-        memo[memo_key("AAA", "BBB")] = 60.0
-        path = tmp_path / SCORE_MEMO_NAME
-        assert memo.persist_to(path) == 1
+    def test_a_shared_database_tier_joins_its_owners_transactions(self, tmp_path):
+        database = Database(tmp_path / "owner.sqlite", SCORES_SCHEMA)
+        memo = ScoreMemoTable(database)
         assert memo.persistent
-        assert memo.disk_rows() == 1
-        # attached: later scores write through
-        memo[memo_key("AAA", "DDD")] = 40.0
-        assert memo.disk_rows() == 2
-        # re-persisting to the live tier is a no-op
-        assert memo.persist_to(path) == 0
-        memo.close()
+        # one lock for both: the memo never orders its lock against the owner's
+        assert memo._lock is database.lock
+        memo.register(["AAA"])
+        memo[memo_key("query", "AAA")] = 80.0
+        statements: list = []
+        database.connection.set_trace_callback(statements.append)
+        with pytest.raises(RuntimeError):
+            with database.transaction():
+                memo.release(["AAA"])  # its invalidation joins the transaction
+                raise RuntimeError("the owner's write failed")
+        database.connection.set_trace_callback(None)
+        assert statements[0] == "BEGIN IMMEDIATE"
+        assert statements[1].startswith("DELETE FROM scores")
+        assert memo.disk_rows() == 1  # rolled back with the owner's writes
+        database.close()
 
     def test_corrupt_tier_degrades_to_cold(self, tmp_path):
         path = tmp_path / SCORE_MEMO_NAME
@@ -355,8 +365,8 @@ class TestWarmIndexRoundTrip:
         ]
         baseline = find_clones(detector, queries)
         assert detector.match_stats.pairs_scored > 0
-        save_index(detector, tmp_path / "index", shards=2)
-        assert (tmp_path / "index" / SCORE_MEMO_NAME).exists()
+        save_index(detector, tmp_path / "index")
+        assert (tmp_path / "index" / CORPUS_DATABASE_NAME).exists()
 
         reloaded = load_index(tmp_path / "index")
         assert reloaded.score_memo.persistent

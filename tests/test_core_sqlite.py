@@ -1,7 +1,9 @@
 """Tests for the shared SQLite layer (``repro.core.sqlite``) and its stores.
 
-Five durable stores open through one opener: the artifact cache, the
-score memo, the job queue and the two source journals.  These tests pin
+Every durable store opens through one opener: the artifact cache, a
+score memo in a file of its own, the job queue, a worker's corpus
+database (its source journal, index rows and score memo) and a
+coordinator's routing journal.  These tests pin
 what every one of them gets from it (WAL, the busy timeout, SQLite's
 default ``synchronous``), the on-disk layout a rewrite must not move
 (the ``jobs`` columns, in order), and the opener's own contract:
@@ -14,23 +16,26 @@ import threading
 
 import pytest
 
-from repro.ccd.score_memo import SCORE_MEMO_NAME, ScoreMemoTable
+from repro.ccd.index_io import SCHEMA as INDEX_SCHEMA
+from repro.ccd.score_memo import ScoreMemoTable
 from repro.core.persistence import DATABASE_NAME, DiskArtifactStore
 from repro.core.sqlite import BUSY_TIMEOUT_SECONDS, Database, connect, quarantine
 from repro.service.coordinator import CORPUS_DATABASE_NAME, CorpusJournal
-from repro.service.delta import SOURCES_DATABASE_NAME, SourceJournal
+from repro.service.delta import SourceJournal
 from repro.service.jobstore import JOBS_DATABASE_NAME, JobStore
 
 #: each durable store, opened fresh in a directory, with its file there
 STORES = {
     "artifact-cache": (lambda root: DiskArtifactStore(root / "cache"),
                        f"cache/{DATABASE_NAME}"),
-    "score-memo": (lambda root: ScoreMemoTable(root / "index" / SCORE_MEMO_NAME),
-                   f"index/{SCORE_MEMO_NAME}"),
+    "score-memo": (lambda root: ScoreMemoTable(root / "memo" / "scores.sqlite"),
+                   "memo/scores.sqlite"),
     "jobs": (lambda root: JobStore(root / JOBS_DATABASE_NAME),
              JOBS_DATABASE_NAME),
-    "worker-sources": (lambda root: SourceJournal(root / SOURCES_DATABASE_NAME),
-                       SOURCES_DATABASE_NAME),
+    # the worker's corpus database, opened as AnalysisService opens it
+    "worker-sources": (lambda root: SourceJournal(Database(
+        root / CORPUS_DATABASE_NAME, INDEX_SCHEMA + SourceJournal.schema())),
+                       CORPUS_DATABASE_NAME),
     "coordinator-corpus": (lambda root: CorpusJournal(root / CORPUS_DATABASE_NAME),
                            CORPUS_DATABASE_NAME),
 }

@@ -12,6 +12,7 @@ identically to registering it locally.
 
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
@@ -232,6 +233,53 @@ class TestServiceIntegration:
             rows = {row["query_id"]: row
                     for row in ServiceClient(service.url).queries()}
             assert rows[TRANSFER_SPEC["query_id"]]["custom"] is True
+
+    def test_a_failed_queries_write_keeps_the_earlier_registrations(
+            self, tmp_path, clean_registry, monkeypatch):
+        second = dict(TRANSFER_SPEC, query_id="custom-second-transfer")
+        service = AnalysisService(make_config(tmp_path))
+        try:
+            service.register_query_spec(TRANSFER_SPEC)
+            real_open = io.open
+
+            class TornFile:
+                """A file whose write stores half the bytes, then fails."""
+
+                def __init__(self, handle):
+                    self.handle = handle
+
+                def write(self, data):
+                    self.handle.write(data[:len(data) // 2])
+                    self.handle.flush()
+                    raise OSError(28, "No space left on device")
+
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *exc_info):
+                    self.handle.close()
+
+            def torn_open(file, mode="r", *args, **kwargs):
+                handle = real_open(file, mode, *args, **kwargs)
+                return TornFile(handle) if "w" in mode else handle
+
+            monkeypatch.setattr(io, "open", torn_open)
+            with pytest.raises(OSError, match="No space left"):
+                service.register_query_spec(second)
+            monkeypatch.undo()
+        finally:
+            service.stop()
+        # a fresh process: the global registry forgets both queries
+        unregister_query(TRANSFER_SPEC["query_id"])
+        unregister_query(second["query_id"])
+        service = AnalysisService(make_config(tmp_path))
+        try:
+            assert service.reloaded_queries == 1
+            registered = {query.query_id for query in registered_queries()}
+            assert TRANSFER_SPEC["query_id"] in registered
+            assert second["query_id"] not in registered
+        finally:
+            service.stop()
 
     def test_reregistering_same_id_replaces(self, tmp_path, clean_registry):
         with AnalysisService(make_config(tmp_path)) as service:

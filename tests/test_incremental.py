@@ -20,6 +20,7 @@ import pytest
 
 from repro.api import AnalysisSession, SessionConfig, canonical_json
 from repro.ccd.detector import CloneDetector
+from repro.ccd.index_io import IndexFormatError
 from repro.core.artifacts import ArtifactStore, content_key
 from repro.datasets.mutations import CloneMutator
 from repro.datasets.sanctuary import generate_sanctuary
@@ -263,6 +264,10 @@ def small_corpus():
     return contracts
 
 
+#: the first word of every statement that writes a row
+WRITE_VERBS = ("INSERT", "REPLACE", "UPDATE", "DELETE")
+
+
 def probe_envelopes(client):
     job = client.submit([["probe", VULN_EDITED]], analyses=["ccd", "ccc"])
     finished = client.wait(job["id"], timeout=120.0)
@@ -276,10 +281,16 @@ class TestServiceDeltaIngest:
             client.ingest(small_corpus)
             parses = service.session.stats.parse_calls
             invalidated = service.detector.score_memo.stats.invalidated
-            summary = client.ingest(small_corpus)  # identical bytes
+            statements: list = []
+            service.database.connection.set_trace_callback(statements.append)
+            try:
+                summary = client.ingest(small_corpus)  # identical bytes
+            finally:
+                service.database.connection.set_trace_callback(None)
             assert summary["unchanged"] == len(small_corpus)
             assert summary["ingested"] == 0
-            assert summary["shards_rewritten"] == 0  # touched no file
+            assert not [statement for statement in statements  # no row written
+                        if statement.split()[0] in WRITE_VERBS]
             assert service.session.stats.parse_calls == parses
             assert service.detector.score_memo.stats.invalidated == invalidated
 
@@ -330,6 +341,170 @@ class TestServiceDeltaIngest:
                 "wallet", diff=make_unified_diff(VULN_EDITED, VULN),
                 base_version=content_key(VULN_EDITED))
             assert back["ingested"] == 1
+
+
+#: a worker killed in the middle of, or just after, a guarded diff edit
+CRASHING_EDIT = """
+import json, os, sys
+from repro.core.artifacts import content_key
+from repro.service import AnalysisService, ServiceConfig
+from repro.service.delta import SourceJournal, make_unified_diff
+
+spec = json.loads(open(sys.argv[1], encoding="utf-8").read())
+service = AnalysisService(ServiceConfig(data_dir=spec["data_dir"], port=0,
+                                        backend="serial"))
+service.ingest(spec["corpus"])
+if spec["crash_at"] == "journal-write":
+    record = SourceJournal.record
+
+    def record_then_die(journal, *args):
+        record(journal, *args)
+        os._exit(3)
+
+    SourceJournal.record = record_then_die
+service.ingest([{"id": "wallet",
+                 "diff": make_unified_diff(spec["base"], spec["edited"]),
+                 "base_version": content_key(spec["base"])}])
+os._exit(3)
+"""
+
+
+def write_statements(statements):
+    """The row-writing statements of a trace."""
+    return [statement for statement in statements
+            if statement.split()[0] in WRITE_VERBS]
+
+
+class TestOneTransactionPerIngest:
+    """An ingest commits its journal, index and memo rows together."""
+
+    @pytest.mark.parametrize("crash_at", ["journal-write", "after-commit"])
+    def test_a_crashed_edit_leaves_journal_and_index_agreeing(
+            self, tmp_path, small_corpus, crash_at):
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        spec = {"data_dir": str(tmp_path / "crashed"), "corpus": small_corpus,
+                "crash_at": crash_at, "base": VULN, "edited": VULN_EDITED}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        child = subprocess.run(
+            [sys.executable, "-c", CRASHING_EDIT, str(spec_path)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert child.returncode == 3, child.stderr
+        edited_corpus = [(doc_id, VULN_EDITED if doc_id == "wallet" else src)
+                         for doc_id, src in small_corpus]
+        with AnalysisService(make_config(tmp_path, "crashed")) as service:
+            journaled = service.source_journal.get("wallet")
+            assert service.detector.source_keys["wallet"] == content_key(journaled)
+            client = ServiceClient(service.url)
+            if crash_at == "journal-write":
+                # the edit never committed: retrying the guarded diff applies it
+                assert journaled == VULN
+                summary = client.ingest_delta(
+                    "wallet", diff=make_unified_diff(VULN, VULN_EDITED),
+                    base_version=content_key(VULN))
+                assert summary["ingested"] == 1
+            else:
+                assert journaled == VULN_EDITED
+                summary = client.ingest_delta(
+                    "wallet", source=VULN_EDITED,
+                    base_version=content_key(VULN_EDITED))
+                assert summary["unchanged"] == 1
+            recovered = probe_envelopes(client)
+        with AnalysisService(make_config(tmp_path, "fresh")) as service:
+            client = ServiceClient(service.url)
+            client.ingest(edited_corpus)
+            assert probe_envelopes(client) == recovered
+
+    def test_an_edit_writes_the_same_rows_at_any_corpus_size(
+            self, tmp_path, small_corpus):
+        qa = generate_qa_corpus(
+            seed=5, posts_per_site={"stackoverflow": 6,
+                                    "ethereum.stackexchange": 12})
+        larger = [(contract.address, contract.source) for contract in
+                  generate_sanctuary(qa, seed=13,
+                                     independent_contracts=12).contracts]
+        larger.append(("wallet", VULN))
+        assert len(larger) > 2 * len(small_corpus)
+        writes = []
+        for name, corpus in (("small", small_corpus), ("large", larger)):
+            data_dir = tmp_path / name
+            service = AnalysisService(ServiceConfig(
+                data_dir=str(data_dir), port=0, backend="serial", cache=False))
+            try:
+                service.ingest(corpus)
+                others = {path: path.stat().st_mtime_ns
+                          for path in data_dir.rglob("*")
+                          if not path.name.startswith("corpus.sqlite")}
+                statements: list = []
+                service.database.connection.set_trace_callback(
+                    statements.append)
+                summary = service.ingest([{
+                    "id": "wallet",
+                    "diff": make_unified_diff(VULN, VULN_EDITED),
+                    "base_version": content_key(VULN)}])
+                service.database.connection.set_trace_callback(None)
+                # no other file of the data dir changes
+                assert {path: path.stat().st_mtime_ns
+                        for path in others} == others
+            finally:
+                service.stop()
+            assert summary["ingested"] == 1
+            # every row of the edit is written inside one transaction
+            assert statements.count("BEGIN IMMEDIATE") == 1
+            assert statements.count("COMMIT") == 1
+            begin = statements.index("BEGIN IMMEDIATE")
+            commit = statements.index("COMMIT")
+            assert write_statements(statements) == \
+                write_statements(statements[begin:commit])
+            writes.append(len(write_statements(statements)))
+        assert writes[0] == writes[1]
+
+    def test_a_failed_ingest_rolls_the_live_index_back(
+            self, tmp_path, small_corpus, monkeypatch):
+        import sqlite3
+
+        import repro.service.server as server
+
+        def failing_write(*args, **kwargs):
+            raise sqlite3.OperationalError("disk I/O error")
+
+        service = AnalysisService(make_config(tmp_path))
+        try:
+            service.ingest(small_corpus[:2])
+            monkeypatch.setattr(server, "append_to_index", failing_write)
+            with pytest.raises(sqlite3.OperationalError):
+                service.ingest([("wallet", VULN)])
+            monkeypatch.undo()
+            assert "wallet" not in service.detector.fingerprints
+            assert service.source_journal.get("wallet") is None
+            # the retry is a real ingest, not an "unchanged" no-op
+            assert service.ingest([("wallet", VULN)])["ingested"] == 1
+        finally:
+            service.stop()
+        service = AnalysisService(make_config(tmp_path))
+        try:
+            assert sorted(service.detector.fingerprints) == sorted(
+                document_id for document_id, _ in [*small_corpus[:2],
+                                                   ("wallet", VULN)])
+        finally:
+            service.stop()
+
+    def test_pickle_shard_data_dir_is_refused(self, tmp_path):
+        data_dir = tmp_path / "old"
+        (data_dir / "index").mkdir(parents=True)
+        (data_dir / "index" / "index.json").write_text('{"format_version": 1}')
+        with pytest.raises(IndexFormatError, match="retired pickle-shard layout"):
+            AnalysisService(make_config(tmp_path, "old"))
+        assert sorted(path.name for path in data_dir.iterdir()) == ["index"]
 
 
 # ---------------------------------------------------------------------------

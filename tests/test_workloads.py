@@ -381,6 +381,20 @@ class TestPreMigrationDatabase:
 # the worker HTTP surface
 # ---------------------------------------------------------------------------
 
+#: every wire-reachable evaluation kind, with parameters small enough to test
+EVALUATION_PARAMS = {
+    "smartbugs_ccc": {},
+    "smartbugs_baselines": {},
+    "honeypot_clones": {"honeypot": {"seed": 7, "counts": {
+        "balance_disorder": 2, "hidden_transfer": 2}}},
+    "manual_validation": {
+        "qa": {"seed": 3, "posts_per_site": {"stackoverflow": 4,
+                                              "ethereum.stackexchange": 8}},
+        "sanctuary": {"seed": 11, "independent_contracts": 4},
+        "sample_size": 5},
+}
+
+
 class TestHttpWorkloads:
     @pytest.fixture
     def service(self, tmp_path):
@@ -390,6 +404,15 @@ class TestHttpWorkloads:
     @pytest.fixture
     def client(self, service):
         return ServiceClient(service.url)
+
+    @pytest.mark.parametrize("kind", sorted(EVALUATION_PARAMS))
+    def test_evaluation_kind_matches_local_bytes(self, client, kind):
+        params = EVALUATION_PARAMS[kind]
+        submitted = client.submit_workload(kind, params=params)
+        final = client.wait_workload(submitted["id"], timeout=300.0)
+        assert final["job"]["state"] == "done"
+        assert canonical_json(final["results"][0]) == \
+            local_workload_bytes(kind, params)
 
     def test_http_sweep_matches_local_bytes(self, client):
         submitted = client.submit_workload("parameter_sweep",

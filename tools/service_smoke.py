@@ -10,7 +10,8 @@ a free loopback port — rather than an in-process server:
 4. assert stream/poll parity and the /v1/stats counters,
 5. SIGTERM the daemon and assert a clean exit (code 0),
 6. restart it over the same data directory and assert the index
-   reloaded (durability smoke).
+   reloaded with the same document ids and without a single parse
+   (durability smoke).
 
 Exits non-zero with a diagnostic on the first failed step.
 
@@ -53,8 +54,7 @@ def main(argv: list[str]) -> int:
 
             summary = client.ingest(contracts)
             assert summary["ingested"] > 0, summary
-            print(f"ingested {summary['ingested']} contracts "
-                  f"({summary['shards_rewritten']} shard(s) written)")
+            print(f"ingested {summary['ingested']} contracts")
 
             job = client.submit(snippets, analyses=["ccd", "ccc"])
             finished = client.wait(job["id"], timeout=120.0)
@@ -80,6 +80,7 @@ def main(argv: list[str]) -> int:
             print(f"stats: {stats['jobs']['done']} done, index "
                   f"{stats['index']['documents']} documents, store hit rate "
                   f"{stats['store']['hit_rate']:.1%}")
+            corpus = client.corpus()["documents"]
             assert daemon.terminate(timeout=30) == 0, "unclean SIGTERM exit"
             print("daemon shut down cleanly")
         finally:
@@ -89,10 +90,13 @@ def main(argv: list[str]) -> int:
         daemon = spawn_daemon(data_dir, backend="thread")
         print(f"daemon up: {daemon.stdout_lines[0]}")
         try:
-            stats = ServiceClient(daemon.url).stats()
+            client = ServiceClient(daemon.url)
+            stats = client.stats()
             assert stats["index"]["documents"] == len(contracts), stats["index"]
+            assert client.corpus()["documents"] == corpus, "ids changed"
+            assert stats["store"]["parse_calls"] == 0, stats["store"]
             print(f"restart: index reloaded with "
-                  f"{stats['index']['documents']} documents")
+                  f"{stats['index']['documents']} documents, 0 parses")
             assert daemon.terminate(timeout=30) == 0, "unclean SIGTERM exit"
             print("daemon shut down cleanly")
         finally:
