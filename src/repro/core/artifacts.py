@@ -33,6 +33,7 @@ from repro.cpg.builder import build_cpg
 from repro.cpg.graph import CPGGraph
 from repro.solidity import ast_nodes as ast
 from repro.solidity.errors import SolidityParseError
+from repro.solidity.lexer import tokenize
 from repro.solidity.parser import parse_snippet
 from repro.solidity.splitter import FunctionSpan, split_source
 
@@ -247,6 +248,10 @@ class SourceArtifact:
     @property
     def unit(self) -> ast.SourceUnit:
         """The parsed AST; parses at most once, caching failures."""
+        return self._parse()
+
+    def _parse(self, tokens=None) -> ast.SourceUnit:
+        """The parsed AST, from ``tokens`` when the caller lexed the source."""
         with self._lock:
             if self._unit is not None:
                 return self._unit
@@ -254,7 +259,7 @@ class SourceArtifact:
                 raise SolidityParseError(self._unit_error)
             self._stats.increment("parse_calls")
             try:
-                self._unit = parse_snippet(self.source)
+                self._unit = parse_snippet(self.source, tokens)
             except SolidityParseError as exc:
                 self._unit_error = str(exc)
                 self._materialized("unit_error")
@@ -318,20 +323,30 @@ class SourceArtifact:
         whole source.  The assembled fingerprint is byte-identical to the
         whole-source one; any doubt (unsplittable source, a changed
         function that does not re-parse cleanly in isolation) falls back
-        to the whole-source path.
+        to the whole-source path.  The source is lexed once: the delta
+        attempt, the whole-source parse and the digest seeding share one
+        token list and one split.
         """
         with self._lock:
             if self._fingerprint is not None:
                 return self._fingerprint
             if self._fingerprint_error is not None:
                 raise SolidityParseError(self._fingerprint_error)
-            if self._unit is None and self._function_digests is not None:
-                assembled = self._delta_fingerprint()
+            split = None
+            if self._unit is None and self._unit_error is None \
+                    and self._function_digests is not None:
+                tokens = tokenize(self.source)
+                split = split_source(self.source, tokens)
+                assembled = self._delta_fingerprint(split)
                 if assembled is not None:
                     self._fingerprint = assembled
                     self._materialized("fingerprint")
                     return self._fingerprint
-            unit = self.unit
+                unit = self._parse(tokens)
+            else:
+                unit = self.unit
+                if self._function_digests is not None and not unit.warnings:
+                    split = split_source(self.source)
             self._stats.increment("fingerprint_builds")
             try:
                 normalized = self._generator.normalizer.normalize_unit(unit)
@@ -341,18 +356,18 @@ class SourceArtifact:
                 self._materialized("fingerprint_error")
                 raise SolidityParseError(self._fingerprint_error) from None
             self._materialized("fingerprint")
-            self._seed_function_digests(normalized)
+            self._seed_function_digests(normalized, split)
             return self._fingerprint
 
-    def _delta_fingerprint(self) -> Optional[Fingerprint]:
+    def _delta_fingerprint(self, split) -> Optional[Fingerprint]:
         """Assemble the fingerprint from cached function digests, or ``None``.
 
         ``None`` (fall back to the whole-source path) when the source is
-        unsplittable, when *no* function is cached yet (a cold source:
-        one whole parse beats N standalone parses and seeds the cache),
-        or when a changed function fails the strict standalone re-parse.
+        unsplittable (``split`` is ``None``), when *no* function is cached
+        yet (a cold source: one whole parse beats N standalone parses and
+        seeds the cache), or when a changed function fails the strict
+        standalone re-parse.
         """
-        split = split_source(self.source)
         if split is None:
             return None
         cache = self._function_digests
@@ -419,20 +434,18 @@ class SourceArtifact:
             function, {}, function_label=span.label)
         return self._generator.hasher.hash_tokens(normalized.tokens)
 
-    def _seed_function_digests(self, normalized) -> None:
+    def _seed_function_digests(self, normalized, split) -> None:
         """Record per-function digests after a clean whole-source build.
 
         Seeding requires a warning-free parse *and* exact alignment
-        between the split's spans and the normalized functions (same
+        between the source's ``split`` and the normalized functions (same
         groups, same labels, in order) — any mismatch means the splitter
         modeled this source differently from the parser, so nothing is
-        cached for it.
+        cached for it.  ``split`` is ``None`` when the store has no digest
+        tier or the splitter bailed.
         """
-        cache = self._function_digests
-        if cache is None or self._unit is None or self._unit.warnings:
-            return
-        split = split_source(self.source)
-        if split is None or len(split.groups) != len(normalized.contracts):
+        if split is None or self._unit.warnings \
+                or len(split.groups) != len(normalized.contracts):
             return
         aligned = []
         for group, contract in zip(split.groups, normalized.contracts):
@@ -444,8 +457,8 @@ class SourceArtifact:
             aligned.append((group, functions))
         for group, functions in aligned:
             for span, function in zip(group, functions):
-                cache.put(span.key,
-                          self._generator.hasher.hash_tokens(function.tokens))
+                self._function_digests.put(
+                    span.key, self._generator.hasher.hash_tokens(function.tokens))
 
     @property
     def ngrams(self) -> frozenset:

@@ -755,14 +755,15 @@ def register_custom_query(spec, path: Path) -> dict:
     The spec never executes — it compiles onto the fixed predicate
     vocabulary of :mod:`repro.ccc.custom`.  The stored file at ``path``
     keeps one normalized spec per query id, so re-registering an id
-    replaces its definition.  Raises :class:`ServiceValidationError` on
-    a malformed spec (mapped to HTTP 400).
+    replaces its definition.  The file is written before the query is
+    registered, so a failed write leaves the earlier definition live and
+    on disk.  Raises :class:`ServiceValidationError` on a malformed spec
+    (mapped to HTTP 400).
     """
     from repro.ccc.custom import QuerySpecError, compile_query
     from repro.ccc.registry import register_query, registered_queries
     try:
         query = compile_query(spec)
-        register_query(query, replace=True)
     except (QuerySpecError, ValueError) as error:
         raise ServiceValidationError(str(error)) from error
     specs = [existing.spec for existing in registered_queries()
@@ -771,6 +772,7 @@ def register_custom_query(spec, path: Path) -> dict:
     specs.append(query.spec)
     # temp sibling + rename: a failed write leaves the previous file whole
     dump_json(path, specs)
+    register_query(query, replace=True)
     return {"query": query.spec}
 
 

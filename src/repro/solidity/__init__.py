@@ -1,8 +1,8 @@
 """Tolerant Solidity parsing substrate.
 
 This sub-package replaces the modified ANTLR grammar used by the paper
-(Section 4.1) with a hand-written tolerant lexer and recursive-descent
-parser.  The parser operates in two modes:
+(Section 4.1) with a regex-driven tolerant lexer and a hand-written
+recursive-descent parser.  The parser operates in two modes:
 
 * *strict* mode rejects anything that is not a structurally valid Solidity
   source unit, and
@@ -68,7 +68,7 @@ from repro.solidity.keywords import (
     UNIQUE_SOLIDITY_KEYWORDS,
     looks_like_solidity,
 )
-from repro.solidity.lexer import Lexer, Token, TokenType, tokenize
+from repro.solidity.lexer import Token, TokenType, tokenize
 from repro.solidity.parser import Parser, parse, parse_snippet
 
 __all__ = [
@@ -93,7 +93,6 @@ __all__ = [
     "IfStatement",
     "IndexAccess",
     "JAVASCRIPT_KEYWORDS",
-    "Lexer",
     "MappingTypeName",
     "MemberAccess",
     "ModifierDefinition",

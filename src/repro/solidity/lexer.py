@@ -5,12 +5,19 @@ It is intentionally forgiving: unknown characters become ``ERROR`` tokens
 instead of raising, and the ``...`` placeholder frequently found in Q&A
 snippets is lexed as a dedicated ``ELLIPSIS`` token that the parser skips
 (Section 4.1 of the paper, "Placeholders").
+
+One compiled master pattern holds a named alternative per token kind,
+tried in order at each position, and one ``finditer`` loop turns its
+matches into tokens (the "Writing a Tokenizer" recipe of the :mod:`re`
+documentation).  Each token records its start offset, so callers cut
+source text without re-deriving positions from lines and columns.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 
 
 class TokenType(enum.Enum):
@@ -24,8 +31,6 @@ class TokenType(enum.Enum):
     PUNCTUATION = "punctuation"
     OPERATOR = "operator"
     ELLIPSIS = "ellipsis"
-    COMMENT = "comment"
-    NEWLINE = "newline"
     ERROR = "error"
     EOF = "eof"
 
@@ -47,15 +52,51 @@ KEYWORDS = frozenset(
     }
 )
 
-#: Multi-character operators ordered by length so that maximal munch works.
-_OPERATORS = [
-    ">>>=", "<<=", ">>=", "**=", "...",
+#: Operators in the order they are tried: the first that matches wins, so
+#: ``>>>`` lexes as ``>>`` then ``>``.  ``...`` is the ELLIPSIS token.
+_OPERATORS = (
+    ">>>=", "<<=", ">>=", "**=",
     "==", "!=", "<=", ">=", "&&", "||", "++", "--", "+=", "-=", "*=", "/=",
     "%=", "|=", "&=", "^=", "<<", ">>", "**", "=>", "->",
     "+", "-", "*", "/", "%", "=", "<", ">", "!", "&", "|", "^", "~", "?",
-]
+)
 
-_PUNCTUATION = {"(", ")", "{", "}", "[", "]", ";", ",", ":", "."}
+#: Stand-ins for the numerics that are neither decimal digits nor letters.
+#: A number starts on ``str.isdigit`` and a word on ``str.isalpha``, but
+#: ``\d`` is ``str.isdecimal`` and ``\w`` is ``str.isalnum`` plus ``_``.
+#: :func:`tokenize` maps each numeric in between onto ``²`` (a digit, not
+#: decimal) or ``½`` (neither), which the pattern names explicitly.
+_DIGIT, _NUMERIC = "²", "½"
+
+_DIGITS = rf"[\d{_DIGIT}_]*"
+_FRACTION = rf"\.(?=[\d{_DIGIT}]){_DIGITS}"
+_EXPONENT = rf"[eE](?:[+-]|(?=[\d{_DIGIT}])|\Z){_DIGITS}"
+
+#: One alternative per token kind.  Where two kinds share a first
+#: character, the earlier one wins: comments before ``/``, hex before
+#: decimal, the ellipsis before ``.``.  Persisted fingerprints and
+#: function digests hash these tokens, so two quirks stay: a ``0`` at the
+#: end of input is a hex literal, and an exponent marker needs no digits
+#: after it.
+_MASTER = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
+    ("SPACE", r"[ \t\r\f\v]+"),
+    ("WORD", rf"(?:[^\W\d{_DIGIT}{_NUMERIC}]|\$)[\w$]*"),
+    ("NEWLINE", r"\n"),
+    ("COMMENT", r"//[^\n]*|/\*(?:.*?\*/|.*)"),
+    ("STRING", r'"(?P<DOUBLE>(?:[^"\\\n]|\\.?)*)"?|'
+               r"'(?P<SINGLE>(?:[^'\\\n]|\\.?)*)'?"),
+    ("HEX_LITERAL", r"0(?:[xX]\w*|\Z)"),
+    ("NUMBER", rf"[\d{_DIGIT}]{_DIGITS}(?:{_FRACTION}(?:{_EXPONENT})?"
+               rf"|{_EXPONENT}(?:{_FRACTION})?)?"),
+    ("ELLIPSIS", r"\.\.\."),
+    ("OPERATOR", "|".join(map(re.escape, _OPERATORS))),
+    ("PUNCTUATION", r"[(){}\[\];,:.]"),
+    ("ERROR", r"."),
+)), re.DOTALL)
+
+#: the kinds whose match is the token's value
+_TOKEN_TYPES = {kind: TokenType[kind] for kind in (
+    "HEX_LITERAL", "NUMBER", "ELLIPSIS", "OPERATOR", "PUNCTUATION", "ERROR")}
 
 #: Elementary type name prefixes; ``uintN``/``intN``/``bytesN`` are matched
 #: by :func:`is_elementary_type`.
@@ -74,15 +115,20 @@ def is_elementary_type(name: str) -> bool:
     return False
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
-    """A single lexical token with its source location."""
+    """A single lexical token with its source location.
+
+    ``offset`` is the index of the token's first character in the source
+    (of the opening quote, for a ``STRING`` whose value is its contents).
+    """
 
     type: TokenType
     value: str
     line: int
     column: int
-    preceded_by_newline: bool = field(default=False)
+    preceded_by_newline: bool = False
+    offset: int = 0
 
     def is_punct(self, value: str) -> bool:
         return self.type is TokenType.PUNCTUATION and self.value == value
@@ -102,172 +148,57 @@ class Token:
         return f"Token({self.type.name}, {self.value!r}, {self.line}:{self.column})"
 
 
-class Lexer:
-    """Convert Solidity source text into a list of tokens."""
+def _stand_ins(source: str) -> str:
+    """``source`` with each in-between numeric replaced by its stand-in.
 
-    def __init__(self, source: str):
-        self.source = source or ""
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-        self.tokens: list[Token] = []
-        self._pending_newline = False
-
-    # -- low level helpers -------------------------------------------------
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        if index < len(self.source):
-            return self.source[index]
-        return ""
-
-    def _advance(self, count: int = 1) -> str:
-        text = self.source[self.pos:self.pos + count]
-        for char in text:
-            if char == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.pos += count
-        return text
-
-    def _emit(self, token_type: TokenType, value: str, line: int, column: int) -> None:
-        token = Token(token_type, value, line, column, preceded_by_newline=self._pending_newline)
-        self._pending_newline = False
-        self.tokens.append(token)
-
-    # -- scanning ----------------------------------------------------------
-    def tokenize(self) -> list[Token]:
-        """Scan the whole input and return the token list (EOF-terminated)."""
-        while self.pos < len(self.source):
-            char = self._peek()
-            if char == "\n":
-                self._advance()
-                self._pending_newline = True
-                continue
-            if char in " \t\r\f\v":
-                self._advance()
-                continue
-            if char == "/" and self._peek(1) == "/":
-                self._scan_line_comment()
-                continue
-            if char == "/" and self._peek(1) == "*":
-                self._scan_block_comment()
-                continue
-            if char in "\"'":
-                self._scan_string(char)
-                continue
-            if char.isdigit():
-                self._scan_number()
-                continue
-            if char.isalpha() or char == "_" or char == "$":
-                self._scan_word()
-                continue
-            if char in _PUNCTUATION or not char.isascii():
-                self._scan_punct_or_operator()
-                continue
-            self._scan_punct_or_operator()
-        self._emit(TokenType.EOF, "", self.line, self.column)
-        return self.tokens
-
-    def _scan_line_comment(self) -> None:
-        start_line, start_col = self.line, self.column
-        text = []
-        while self.pos < len(self.source) and self._peek() != "\n":
-            text.append(self._advance())
-        self._emit(TokenType.COMMENT, "".join(text), start_line, start_col)
-        # keep the comment token out of the parser stream, but remember the
-        # newline that terminates it
-        self.tokens.pop()
-
-    def _scan_block_comment(self) -> None:
-        start_line, start_col = self.line, self.column
-        text = [self._advance(2)]
-        while self.pos < len(self.source):
-            if self._peek() == "*" and self._peek(1) == "/":
-                text.append(self._advance(2))
-                break
-            text.append(self._advance())
-        self._emit(TokenType.COMMENT, "".join(text), start_line, start_col)
-        self.tokens.pop()
-
-    def _scan_string(self, quote: str) -> None:
-        start_line, start_col = self.line, self.column
-        self._advance()
-        chars = []
-        while self.pos < len(self.source):
-            char = self._peek()
-            if char == "\\":
-                chars.append(self._advance(2))
-                continue
-            if char == quote:
-                self._advance()
-                break
-            if char == "\n":
-                # unterminated string: stop at the newline, tolerant mode
-                break
-            chars.append(self._advance())
-        self._emit(TokenType.STRING, "".join(chars), start_line, start_col)
-
-    def _scan_number(self) -> None:
-        start_line, start_col = self.line, self.column
-        chars = []
-        if self._peek() == "0" and self._peek(1) in "xX":
-            chars.append(self._advance(2))
-            while self.pos < len(self.source) and (self._peek().isalnum() or self._peek() == "_"):
-                chars.append(self._advance())
-            self._emit(TokenType.HEX_LITERAL, "".join(chars), start_line, start_col)
-            return
-        seen_dot = False
-        seen_exp = False
-        while self.pos < len(self.source):
-            char = self._peek()
-            if char.isdigit() or char == "_":
-                chars.append(self._advance())
-            elif char == "." and not seen_dot and self._peek(1).isdigit():
-                seen_dot = True
-                chars.append(self._advance())
-            elif char in "eE" and not seen_exp and (self._peek(1).isdigit() or self._peek(1) in "+-"):
-                seen_exp = True
-                chars.append(self._advance())
-                if self._peek() in "+-":
-                    chars.append(self._advance())
-            else:
-                break
-        self._emit(TokenType.NUMBER, "".join(chars), start_line, start_col)
-
-    def _scan_word(self) -> None:
-        start_line, start_col = self.line, self.column
-        chars = []
-        while self.pos < len(self.source):
-            char = self._peek()
-            if char.isalnum() or char in "_$":
-                chars.append(self._advance())
-            else:
-                break
-        word = "".join(chars)
-        if word in KEYWORDS:
-            self._emit(TokenType.KEYWORD, word, start_line, start_col)
-        else:
-            self._emit(TokenType.IDENTIFIER, word, start_line, start_col)
-
-    def _scan_punct_or_operator(self) -> None:
-        start_line, start_col = self.line, self.column
-        for operator in _OPERATORS:
-            if self.source.startswith(operator, self.pos):
-                self._advance(len(operator))
-                if operator == "...":
-                    self._emit(TokenType.ELLIPSIS, operator, start_line, start_col)
-                else:
-                    self._emit(TokenType.OPERATOR, operator, start_line, start_col)
-                return
-        char = self._advance()
-        if char in _PUNCTUATION:
-            self._emit(TokenType.PUNCTUATION, char, start_line, start_col)
-        else:
-            self._emit(TokenType.ERROR, char, start_line, start_col)
+    The replacement keeps every length, so matches over the result carry
+    their offsets back to ``source``.
+    """
+    table = {}
+    for char in set(source):
+        if char.isnumeric() and not (char.isdecimal() or char.isalpha()):
+            table[ord(char)] = _DIGIT if char.isdigit() else _NUMERIC
+    return source.translate(table) if table else source
 
 
 def tokenize(source: str) -> list[Token]:
-    """Tokenize ``source`` and return the token list."""
-    return Lexer(source).tokenize()
+    """Tokenize ``source`` and return the token list (EOF-terminated).
+
+    Newlines and comments yield no token.  A newline sets
+    ``preceded_by_newline`` on the next token, and a comment clears it.
+    """
+    source = source or ""
+    text = source if source.isascii() else _stand_ins(source)
+    tokens: list[Token] = []
+    append = tokens.append
+    line, line_start, pending = 1, 0, False
+    for match in _MASTER.finditer(text):
+        kind = match.lastgroup
+        if kind == "SPACE":
+            continue
+        start = match.start()
+        if kind == "NEWLINE":
+            line += 1
+            line_start = start + 1
+            pending = True
+            continue
+        end = match.end()
+        if kind == "WORD":
+            value = source[start:end]
+            append(Token(TokenType.KEYWORD if value in KEYWORDS else TokenType.IDENTIFIER,
+                         value, line, start - line_start + 1, pending, start))
+        elif kind == "COMMENT" or kind == "STRING":
+            if kind == "STRING":
+                body_start, body_end = match.span("DOUBLE" if text[start] == '"' else "SINGLE")
+                append(Token(TokenType.STRING, source[body_start:body_end],
+                             line, start - line_start + 1, pending, start))
+            last_newline = text.rfind("\n", start, end)
+            if last_newline >= 0:
+                line += text.count("\n", start, end)
+                line_start = last_newline + 1
+        else:
+            append(Token(_TOKEN_TYPES[kind], source[start:end],
+                         line, start - line_start + 1, pending, start))
+        pending = False
+    append(Token(TokenType.EOF, "", line, len(source) - line_start + 1, pending, len(source)))
+    return tokens

@@ -19,6 +19,7 @@ unrecoverable errors relative to the amount of parsed content) raise
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional
 
 from repro.solidity.ast_nodes import (
@@ -108,10 +109,13 @@ _ASSIGNMENT_OPERATORS = {"=", "+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=", "<
 class Parser:
     """Recursive-descent parser producing :class:`SourceUnit` trees."""
 
-    def __init__(self, source: str, snippet_mode: bool = False):
+    def __init__(self, source: str, snippet_mode: bool = False,
+                 tokens: Optional[list[Token]] = None):
         self.source = source or ""
         self.snippet_mode = snippet_mode
-        self.tokens = [t for t in tokenize(self.source) if t.type is not TokenType.ELLIPSIS]
+        if tokens is None:
+            tokens = tokenize(self.source)
+        self.tokens = [t for t in tokens if t.type is not TokenType.ELLIPSIS]
         self.pos = 0
         self.warnings: list[SoliditySyntaxWarning] = []
         self._error_count = 0
@@ -195,10 +199,14 @@ class Parser:
         end_token = self.tokens[min(end_pos, len(self.tokens) - 1)]
         return self._extract_source(start_token, end_token)
 
+    @cached_property
+    def _lines(self) -> list[str]:
+        # the lexer counts lines at "\n" only; a CRLF line keeps its
+        # "\r" out of any node's code
+        return [line.removesuffix("\r") for line in self.source.split("\n")]
+
     def _extract_source(self, start: Token, end: Token) -> str:
-        lines = self.source.splitlines()
-        if not lines:
-            return ""
+        lines = self._lines
         start_line = max(start.line - 1, 0)
         end_line = min(end.line - 1, len(lines) - 1)
         if start_line == end_line:
@@ -1325,6 +1333,9 @@ def parse(source: str, snippet_mode: bool = False) -> SourceUnit:
     return Parser(source, snippet_mode=snippet_mode).parse()
 
 
-def parse_snippet(source: str) -> SourceUnit:
-    """Parse an incomplete Solidity snippet using the modified grammar rules."""
-    return Parser(source, snippet_mode=True).parse()
+def parse_snippet(source: str, tokens: Optional[list[Token]] = None) -> SourceUnit:
+    """Parse an incomplete Solidity snippet using the modified grammar rules.
+
+    ``tokens`` is ``tokenize(source)`` when the caller has lexed it already.
+    """
+    return Parser(source, snippet_mode=True, tokens=tokens).parse()

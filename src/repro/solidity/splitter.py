@@ -103,27 +103,13 @@ def span_key(label: str, tokens: List[Token]) -> str:
 class _Splitter:
     """One splitting pass over a token stream (see :func:`split_source`)."""
 
-    def __init__(self, source: str):
+    def __init__(self, source: str, tokens: List[Token]):
         self.source = source
-        # host a real parser for its token stream and its state-variable
+        self.tokens = tokens
+        # a real parser over the same tokens lends its state-variable
         # lookahead heuristics — the split must agree with the genuine
         # dispatch, not an approximation of it
-        self.parser = Parser(source, snippet_mode=True)
-        self.tokens = self.parser.tokens
-        self.raw_tokens = tokenize(source)
-        self.offsets = self._token_offsets()
-
-    def _token_offsets(self) -> List[int]:
-        line_starts = [0]
-        for index, char in enumerate(self.source):
-            if char == "\n":
-                line_starts.append(index + 1)
-        offsets = []
-        for token in self.tokens:
-            line = min(token.line - 1, len(line_starts) - 1)
-            offsets.append(min(line_starts[line] + token.column - 1,
-                               len(self.source)))
-        return offsets
+        self.parser = Parser(source, snippet_mode=True, tokens=tokens)
 
     # -- span construction -----------------------------------------------------
     def _make_span(self, label: str, construct: str, start: int, end: int) -> FunctionSpan:
@@ -132,7 +118,7 @@ class _Splitter:
             label=label,
             construct=construct,
             key=span_key(label, tokens),
-            text=self.source[self.offsets[start]:self.offsets[end]],
+            text=self.source[self.tokens[start].offset:self.tokens[end].offset],
             start_line=tokens[0].line,
             end_line=tokens[-1].line,
         )
@@ -422,9 +408,6 @@ class _Splitter:
         return None  # a loose statement — it would enter the fingerprint
 
     def split(self) -> Optional[SourceSplit]:
-        if any(token.type in (TokenType.ELLIPSIS, TokenType.ERROR)
-               for token in self.raw_tokens):
-            return None
         groups: List[List[FunctionSpan]] = []
         free_spans: List[FunctionSpan] = []
         index = 0
@@ -455,17 +438,24 @@ class _Splitter:
         return SourceSplit(groups=groups)
 
 
-def split_source(source: str) -> Optional[SourceSplit]:
+def split_source(source: str,
+                 tokens: Optional[List[Token]] = None) -> Optional[SourceSplit]:
     """Split ``source`` into per-function spans, or ``None`` when unsafe.
 
     A successful split decomposes the source into function/modifier spans
     plus fingerprint-neutral regions, grouped exactly like the contracts
     of its normalized fingerprint.  ``None`` means the source uses
     constructs the conservative scanner does not model — callers must use
-    the whole-source path.
+    the whole-source path.  ``tokens`` is ``tokenize(source)`` when the
+    caller has lexed it already.
     """
+    source = source or ""
+    if tokens is None:
+        tokens = tokenize(source)
+    if any(token.type in (TokenType.ELLIPSIS, TokenType.ERROR) for token in tokens):
+        return None
     try:
-        return _Splitter(source or "").split()
+        return _Splitter(source, tokens).split()
     except (IndexError, RecursionError):
         return None
 

@@ -267,11 +267,13 @@ class TestServiceIntegration:
             with pytest.raises(OSError, match="No space left"):
                 service.register_query_spec(second)
             monkeypatch.undo()
+            registered = {query.query_id for query in registered_queries()}
+            assert TRANSFER_SPEC["query_id"] in registered
+            assert second["query_id"] not in registered
         finally:
             service.stop()
-        # a fresh process: the global registry forgets both queries
+        # a fresh process: the global registry forgets the query
         unregister_query(TRANSFER_SPEC["query_id"])
-        unregister_query(second["query_id"])
         service = AnalysisService(make_config(tmp_path))
         try:
             assert service.reloaded_queries == 1

@@ -130,3 +130,21 @@ class TestRealWorldShapedSnippets:
         contract = unit.contracts()[0]
         assert {f.name for f in contract.functions() if f.name} >= {"deposit", "withdraw", "kill"}
         assert contract.modifiers()
+
+
+class TestNodeCode:
+    """A node's ``code`` is cut at the lexer's lines: ``\\n`` only."""
+
+    def test_a_trailing_newline_keeps_the_last_items_code(self):
+        unit = parse_snippet("function f() public { x = 1; }\n")
+        assert unit.items[0].code == "function f() public { x = 1; }"
+
+    def test_a_crlf_function_keeps_its_closing_brace(self):
+        unit = parse_snippet("function f() public {\r\n  x = 1;\r\n}\r\n")
+        assert unit.items[0].code == "function f() public {\n  x = 1;\n}"
+
+    @pytest.mark.parametrize("separator", ["\f", "\v", "\r", "\x1c", "\x1d", "\x1e",
+                                           "\x85", "\u2028", "\u2029"])
+    def test_other_line_breaks_do_not_shift_later_code(self, separator):
+        unit = parse_snippet(f"// a{separator}b\nfunction g() public {{ y = 2; }}")
+        assert unit.items[-1].code == "function g() public { y = 2; }"
